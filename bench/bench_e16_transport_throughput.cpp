@@ -16,10 +16,15 @@
 //
 // The steady-state allocation column counts operator-new calls (see
 // alloc_hooks.h) during a warm simulate_rounds_into batch over a cached
-// codebook round — the zero-copy arena contract says it is exactly 0.
+// codebook round at the default worker count — the zero-copy arena
+// contract says it is exactly 0, and the bench exits 1 on any nonzero row.
+#include <algorithm>
 #include <chrono>
+#include <iomanip>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <vector>
 
 #include "alloc_hooks.h"
@@ -189,9 +194,39 @@ int main() {
         json.end_object();
     });
 
-    bench::verdict(
-        "the batched arena path beats the single-round loop on every kernel "
-        "set, the vector kernels beat scalar, and the steady-state allocation "
-        "count on the batched decode path is exactly 0");
-    return 0;
+    // Every clause is computed from the rows. Only the exact one — zero
+    // steady-state allocations — sets the exit status; the throughput
+    // ratios are single timed runs, which the perf gate judges against the
+    // baseline instead.
+    std::size_t allocating_rows = 0;
+    double min_ratio = std::numeric_limits<double>::infinity();
+    double max_ratio = 0.0;
+    double scalar_1024 = 0.0;
+    double vector_1024 = 0.0;
+    for (const auto& m : measurements) {
+        allocating_rows += m.steady_allocs != 0 ? 1 : 0;
+        const double ratio = m.batched_rounds_per_s / m.single_rounds_per_s;
+        min_ratio = std::min(min_ratio, ratio);
+        max_ratio = std::max(max_ratio, ratio);
+        if (m.n == 1024) {
+            double& best = m.resolved == simd::Kernel::scalar ? scalar_1024 : vector_1024;
+            best = std::max(best, m.batched_rounds_per_s);
+        }
+    }
+    std::ostringstream text;
+    text << std::fixed << std::setprecision(2) << "batched/single throughput "
+         << min_ratio << "-" << max_ratio << "x across rows; ";
+    if (vector_1024 > 0.0 && scalar_1024 > 0.0) {
+        text << "best vector kernel vs scalar at n=1024 " << vector_1024 / scalar_1024
+             << "x; ";
+    }
+    if (allocating_rows == 0) {
+        text << "steady-state allocations on the batched decode path: 0 on all "
+             << measurements.size() << " rows";
+    } else {
+        text << "FAILED: the batched decode path allocated in steady state on "
+             << allocating_rows << " of " << measurements.size() << " rows";
+    }
+    bench::verdict(text.str());
+    return allocating_rows == 0 ? 0 : 1;
 }

@@ -47,6 +47,13 @@ BitsliceMatrix::BitsliceMatrix(std::span<const Bitstring> columns,
     transpose_in(extra_columns);
 }
 
+void BitsliceScratch::reserve_like(const BitsliceScratch& other) {
+    bias_.reserve(other.bias_.capacity());
+    planes_.reserve(other.planes_.capacity());
+    low_.reserve(other.low_.capacity());
+    always_.reserve(other.always_.capacity());
+}
+
 void BitsliceMatrix::prepare_scratch(std::size_t limit, BitsliceScratch& scratch) const {
     if (scratch.bias_epoch_ == epoch_ && scratch.bias_limit_ == limit) {
         return;

@@ -45,6 +45,10 @@ class BitsliceScratch {
 public:
     BitsliceScratch() = default;
 
+    /// Grow every buffer's capacity to at least `other`'s, so a scratch that
+    /// has not run yet can take over `other`'s workload without allocating.
+    void reserve_like(const BitsliceScratch& other);
+
 private:
     friend class BitsliceMatrix;
 

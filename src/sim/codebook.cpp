@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/thread_pool.h"
 #include "sim/codebook_cache.h"
 #include "sim/codebook_io.h"
 
@@ -14,6 +15,29 @@ namespace nb {
 namespace {
 
 NB_FAILPOINT_DEFINE(fp_codebook_build, "codebook.build");
+
+/// Nodes per block of the parallel round build: large enough that one
+/// block's work dwarfs a chunk claim, small enough that n = 2048 still
+/// spreads over every worker.
+constexpr std::size_t kBuildBlock = 128;
+
+/// body(begin, end) over [0, count) in kBuildBlock-sized blocks, on `pool`
+/// (nullptr = inline, in block order).
+template <typename Body>
+void for_node_blocks(ThreadPool* pool, std::size_t count, const Body& body) {
+    const std::size_t blocks = (count + kBuildBlock - 1) / kBuildBlock;
+    const auto run = [&](std::size_t, std::size_t block) {
+        const std::size_t begin = block * kBuildBlock;
+        body(begin, std::min(count, begin + kBuildBlock));
+    };
+    if (pool == nullptr) {
+        for (std::size_t block = 0; block < blocks; ++block) {
+            run(0, block);
+        }
+    } else {
+        pool->parallel_for(blocks, run);
+    }
+}
 
 /// Pad/flag an optional algorithm message into a transport payload:
 /// bit 0 = presence, bits 1..message_bits = the message (zero-padded).
@@ -331,7 +355,8 @@ std::size_t Codebook::node_candidate_count(NodeId v) const {
 }
 
 std::shared_ptr<const Codebook::Round> Codebook::round(
-    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce) const {
+    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce,
+    ThreadPool* pool) const {
     std::shared_ptr<const Round> prev;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -352,10 +377,15 @@ std::shared_ptr<const Codebook::Round> Codebook::round(
     // Build outside the lock: rebuilds are the expensive path and concurrent
     // callers with distinct keys must not serialize on each other.
     BuildTally tally;
-    std::shared_ptr<const Round> fresh = build_round(messages, nonce, std::move(donor), tally);
+    std::shared_ptr<const Round> fresh =
+        build_round(messages, nonce, std::move(donor), tally, pool);
+    // The superseded round is swapped out under the lock but released after
+    // it: freeing a large round's per-node vectors takes milliseconds, and
+    // concurrent cache hits must not wait on that.
+    std::shared_ptr<const Round> superseded = fresh;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        cached_ = fresh;
+        cached_.swap(superseded);
         ++stats_.round_builds;
         stats_.codeword_builds += tally.codewords_generated;
         stats_.payload_encodes += tally.encodes_generated;
@@ -367,7 +397,7 @@ std::shared_ptr<const Codebook::Round> Codebook::round(
 
 std::shared_ptr<Codebook::Round> Codebook::build_round(
     const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce,
-    std::shared_ptr<const Round> donor_round, BuildTally& tally) const {
+    std::shared_ptr<const Round> donor_round, BuildTally& tally, ThreadPool* pool) const {
     const std::size_t n = graph_.node_count();
     require(messages.size() == n, "Codebook: one message slot per node");
 
@@ -403,23 +433,15 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         return view_.has_value() ? view_->global_ids[v] : v;
     };
 
-    // Per-node payloads and fresh inputs r_v.
-    round->inputs.resize(n);
-    round->payloads.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
-        round->payloads.push_back(donor_message_equal(v)
-                                      ? donor->payloads[v]
-                                      : make_payload(messages[v], params_.message_bits));
-    }
-    for (std::size_t v = owned_lo; v < owned_hi; ++v) {
-        round->inputs[v] =
-            donor != nullptr && v < donor_n
-                ? donor->inputs[v]
-                : round->rng.derive(0x7069636bu, global_id(static_cast<NodeId>(v))).next_u64();
-    }
+    // The per-node loops below run over node blocks on the pool. Every slot
+    // is sized up front and written by exactly one index, and every value is
+    // a pure function of (seed, nonce, global id, message) — never of which
+    // worker ran it — so the round is bit-identical for any pool size.
+    // Counters are tallied serially, in index order.
 
     // Decoys: inputs and payloads drawn independently of everything heard —
-    // a function of the nonce alone, so any donor serves them whole.
+    // a function of the nonce alone, so any donor serves them whole. A
+    // handful of entries: built serially, before the per-node fan-out.
     std::vector<Bitstring> decoy_payloads;
     round->decoy_inputs.resize(params_.decoy_count);
     decoy_payloads.reserve(params_.decoy_count);
@@ -428,57 +450,70 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         for (std::size_t i = 0; i < params_.decoy_count; ++i) {
             decoy_payloads.push_back(donor->candidate_messages[donor_n + 1 + i]);
         }
-    } else {
-        for (std::size_t i = 0; i < params_.decoy_count; ++i) {
-            Rng decoy_rng = round->rng.derive(0x6465636fu, i);
-            round->decoy_inputs[i] = decoy_rng.next_u64();
-            decoy_payloads.push_back(Bitstring::random(decoy_rng, payload_bits));
-        }
-    }
-
-    // Codewords C(r) with their 1-positions, for nodes and decoys alike —
-    // functions of (nonce, id), so a same-nonce donor serves every common id.
-    round->codewords.resize(n);
-    round->one_positions.resize(n);
-    for (std::size_t v = owned_lo; v < owned_hi; ++v) {
-        if (donor != nullptr && v < donor_n) {
-            round->codewords[v] = donor->codewords[v];
-            round->one_positions[v] = donor->one_positions[v];
-            ++tally.codewords_reused;
-        } else {
-            auto [codeword, positions] = beep.codeword_and_positions(round->inputs[v]);
-            round->codewords[v] = std::move(codeword);
-            round->one_positions[v] = std::move(positions);
-            ++tally.codewords_generated;
-        }
-    }
-    if (donor != nullptr) {
         round->decoy_codewords = donor->decoy_codewords;
         round->decoy_one_positions = donor->decoy_one_positions;
         tally.codewords_reused += params_.decoy_count;
     } else {
         round->decoy_codewords.reserve(params_.decoy_count);
         round->decoy_one_positions.reserve(params_.decoy_count);
-        for (const auto r : round->decoy_inputs) {
-            auto [codeword, positions] = beep.codeword_and_positions(r);
+        for (std::size_t i = 0; i < params_.decoy_count; ++i) {
+            Rng decoy_rng = round->rng.derive(0x6465636fu, i);
+            round->decoy_inputs[i] = decoy_rng.next_u64();
+            decoy_payloads.push_back(Bitstring::random(decoy_rng, payload_bits));
+            auto [codeword, positions] = beep.codeword_and_positions(round->decoy_inputs[i]);
             round->decoy_codewords.push_back(std::move(codeword));
             round->decoy_one_positions.push_back(std::move(positions));
         }
         tally.codewords_generated += params_.decoy_count;
     }
 
+    // Per node: the cache key, the payload, and — for owned nodes — the
+    // fresh input r_v and the codeword C(r_v) with its 1-positions
+    // (functions of (nonce, id), so a same-nonce donor serves every common
+    // id).
+    round->messages.resize(n);
+    round->payloads.resize(n);
+    round->inputs.resize(n);
+    round->codewords.resize(n);
+    round->one_positions.resize(n);
+    for_node_blocks(pool, n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+            round->messages[v] = messages[v];
+            round->payloads[v] = donor_message_equal(v)
+                                     ? donor->payloads[v]
+                                     : make_payload(messages[v], params_.message_bits);
+            if (v < owned_lo || v >= owned_hi) {
+                continue;
+            }
+            if (donor != nullptr && v < donor_n) {
+                round->inputs[v] = donor->inputs[v];
+                round->codewords[v] = donor->codewords[v];
+                round->one_positions[v] = donor->one_positions[v];
+            } else {
+                round->inputs[v] =
+                    round->rng.derive(0x7069636bu, global_id(static_cast<NodeId>(v)))
+                        .next_u64();
+                auto [codeword, positions] = beep.codeword_and_positions(round->inputs[v]);
+                round->codewords[v] = std::move(codeword);
+                round->one_positions[v] = std::move(positions);
+            }
+        }
+    });
+    // The owned ids below donor_n were copied, the rest generated.
+    const std::size_t owned_reused =
+        std::min(owned_hi, std::max(owned_lo, donor_n)) - owned_lo;
+    tally.codewords_reused += owned_reused;
+    tally.codewords_generated += (owned_hi - owned_lo) - owned_reused;
+
     // Phase-2 candidate dictionary over the entry space, encoded once. Donor
     // entries: a node entry is reusable iff its message is unchanged; the
     // null + decoy tail block is message-independent and maps to the donor's
     // tail block whatever its node count.
     const std::size_t entry_count = n + 1 + params_.decoy_count;
-    round->candidate_messages.reserve(entry_count);
-    for (NodeId v = 0; v < n; ++v) {
-        round->candidate_messages.push_back(round->payloads[v]);
-    }
-    round->candidate_messages.push_back(Bitstring(payload_bits));  // the null payload
-    for (auto& decoy : decoy_payloads) {
-        round->candidate_messages.push_back(std::move(decoy));
+    round->candidate_messages.resize(entry_count);
+    round->candidate_messages[n] = Bitstring(payload_bits);  // the null payload
+    for (std::size_t i = 0; i < params_.decoy_count; ++i) {
+        round->candidate_messages[n + 1 + i] = std::move(decoy_payloads[i]);
     }
     const auto donor_entry = [&](std::size_t e) -> std::ptrdiff_t {
         if (e < n) {
@@ -487,22 +522,32 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         return donor != nullptr ? static_cast<std::ptrdiff_t>(donor_n + (e - n)) : -1;
     };
     std::vector<std::size_t> regenerated_entries;  // columns the SoA patch rewrites
-    round->candidate_encoded.reserve(entry_count);
-    round->candidate_tails.reserve(entry_count);
     for (std::size_t e = 0; e < entry_count; ++e) {
-        const std::ptrdiff_t d = donor_entry(e);
-        if (d >= 0) {
-            round->candidate_encoded.push_back(donor->candidate_encoded[static_cast<std::size_t>(d)]);
-            round->candidate_tails.push_back(donor->candidate_tails[static_cast<std::size_t>(d)]);
-            ++tally.encodes_reused;
-        } else {
-            const Bitstring& candidate = round->candidate_messages[e];
-            round->candidate_encoded.push_back(distance.encode(candidate));
-            round->candidate_tails.push_back(candidate.tail(1));
-            ++tally.encodes_generated;
+        if (donor_entry(e) < 0) {
             regenerated_entries.push_back(e);
         }
     }
+    tally.encodes_generated += regenerated_entries.size();
+    tally.encodes_reused += entry_count - regenerated_entries.size();
+    round->candidate_encoded.resize(entry_count);
+    round->candidate_tails.resize(entry_count);
+    for_node_blocks(pool, entry_count, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t e = begin; e < end; ++e) {
+            if (e < n) {
+                round->candidate_messages[e] = round->payloads[e];
+            }
+            const std::ptrdiff_t d = donor_entry(e);
+            if (d >= 0) {
+                round->candidate_encoded[e] =
+                    donor->candidate_encoded[static_cast<std::size_t>(d)];
+                round->candidate_tails[e] = donor->candidate_tails[static_cast<std::size_t>(d)];
+            } else {
+                const Bitstring& candidate = round->candidate_messages[e];
+                round->candidate_encoded[e] = distance.encode(candidate);
+                round->candidate_tails[e] = candidate.tail(1);
+            }
+        }
+    });
 
     // Bitsliced phase-1 matrix and phase-2 decode radii: only the all_nodes
     // policy scans dictionaries large enough to amortize them (see the
@@ -581,18 +626,20 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     // Sharded energy totals count the owned nodes only — the transport sums
     // them across shards, each node counted by exactly its owner.
     round->combined_schedules.resize(n);
-    for (std::size_t v = owned_lo; v < owned_hi; ++v) {
-        if (donor_message_equal(v)) {
-            round->combined_schedules[v] = donor->combined_schedules[v];
-        } else {
-            round->combined_schedules[v] = Bitstring::scatter(
-                beep.length(), round->one_positions[v], round->candidate_encoded[v]);
+    for_node_blocks(pool, owned_hi - owned_lo, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = owned_lo + begin; v < owned_lo + end; ++v) {
+            if (donor_message_equal(v)) {
+                round->combined_schedules[v] = donor->combined_schedules[v];
+            } else {
+                round->combined_schedules[v] = Bitstring::scatter(
+                    beep.length(), round->one_positions[v], round->candidate_encoded[v]);
+            }
         }
+    });
+    for (std::size_t v = owned_lo; v < owned_hi; ++v) {
         round->phase2_beeps += round->combined_schedules[v].count();
     }
     round->phase1_beeps = (owned_hi - owned_lo) * beep.weight();
-
-    round->messages = messages;
     return round;
 }
 

@@ -62,6 +62,7 @@
 namespace nb {
 
 class CodebookFile;
+class ThreadPool;
 
 class Codebook {
 public:
@@ -191,8 +192,14 @@ public:
     /// the ChannelModel perturbs transcripts at hear time, from streams
     /// derived off round.rng by the engines), and the channel itself is
     /// fixed per transport.
+    ///
+    /// A rebuild fans its per-node loops out over node blocks on `pool`
+    /// (nullptr = inline on the calling thread). Every slot has exactly one
+    /// writer and every per-node value is a pure function of (seed, nonce,
+    /// global id, message), so the Round and the stats() counters are
+    /// bit-identical for any pool size (DESIGN.md section 5).
     std::shared_ptr<const Round> round(const std::vector<std::optional<Bitstring>>& messages,
-                                       std::uint64_t nonce) const;
+                                       std::uint64_t nonce, ThreadPool* pool = nullptr) const;
 
     /// Candidate entries node v's decoder scans, in dictionary order: the
     /// candidate node ids (sorted two-hop set or all nodes, per the policy),
@@ -269,8 +276,8 @@ private:
 
     std::shared_ptr<Round> build_round(const std::vector<std::optional<Bitstring>>& messages,
                                        std::uint64_t nonce,
-                                       std::shared_ptr<const Round> donor,
-                                       BuildTally& tally) const;
+                                       std::shared_ptr<const Round> donor, BuildTally& tally,
+                                       ThreadPool* pool) const;
 
     void build_candidate_index();
     void build_candidate_index_delta(const Codebook& base);

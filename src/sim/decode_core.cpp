@@ -26,6 +26,24 @@ void build_node_states_into(std::vector<NodeState>& state, std::size_t n,
     }
 }
 
+void DecodeWorkspace::reserve_like(const DecodeWorkspace& other) {
+    const auto grow = [](Bitstring& bits, const Bitstring& like) {
+        if (bits.size() < like.size()) {
+            bits.reset(like.size());
+        }
+    };
+    grow(heard1, other.heard1);
+    grow(heard2, other.heard2);
+    grow(gathered, other.gathered);
+    accepted_nodes.reserve(other.accepted_nodes.capacity());
+    accepted_decoys.reserve(other.accepted_decoys.capacity());
+    accept_mask.reserve(other.accept_mask.capacity());
+    distances.reserve(other.distances.capacity());
+    sort_tmp.reserve(other.sort_tmp.capacity());
+    expected.reserve(other.expected.capacity());
+    slice_scratch.reserve_like(other.slice_scratch);
+}
+
 void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     const DecodeContext& c = ctx;
     const Codebook::Round& rd = *c.round;

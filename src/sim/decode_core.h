@@ -47,10 +47,14 @@ void build_node_states_into(std::vector<NodeState>& state, std::size_t n,
                             const FaultModel& faults);
 
 /// Reusable per-worker scratch: transcript/gather buffers, acceptance lists,
-/// bitslice counters and ground-truth pointers. Lives in the batch scratch,
-/// so every buffer reaches steady-state size during the first round of the
-/// first batch and is never reallocated again.
+/// bitslice counters and ground-truth pointers. Lives in the batch scratch;
+/// TransportBatch::prepare levels every worker's buffers up to the largest
+/// any worker reached, so a reused batch never reallocates them whichever
+/// nodes the pool hands each worker.
 struct DecodeWorkspace {
+    /// Grow every buffer to at least `other`'s size (contents are scratch).
+    void reserve_like(const DecodeWorkspace& other);
+
     Bitstring heard1;
     Bitstring heard2;
     Bitstring gathered;

@@ -143,13 +143,7 @@ void ShardedTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
         require(spec.messages->size() == n, "ShardedTransport: one message slot per node");
     }
 
-    if (batch.scratch_ == nullptr) {
-        batch.scratch_ = std::make_shared<TransportBatch::Scratch>();
-    }
     batch.prepare(specs.size(), n, params_.message_bits, pool_->worker_count());
-    if (batch.scratch_->workspaces.size() < pool_->worker_count()) {
-        batch.scratch_->workspaces.resize(pool_->worker_count());
-    }
     if (specs.empty()) {
         return;
     }

@@ -15,10 +15,11 @@
 // unsharded transport would have used, the output batch is bit-identical
 // to BeepTransport for any shard count and any worker count.
 //
-// What sharding buys: the per-round Codebook build (codeword sampling
-// dominates at large n) and the decode both run per shard on the pool, so
-// a round parallelizes k ways end to end — the unsharded transport builds
-// rounds on one thread (pipelined at most one round ahead).
+// What sharding buys: the per-round Codebook build and the decode both run
+// per shard on the pool, so each worker touches only its shard's closure.
+// The unsharded transport parallelizes the same two stages over node
+// blocks of one global round instead (build, then decode, on one pool);
+// a shard's build runs inline inside its stage job.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,5 @@
 #include "sim/transport.h"
 
-#include <future>
-
 #include "beep/batch_engine.h"
 #include "common/cancel.h"
 #include "common/error.h"
@@ -71,13 +69,7 @@ void BeepTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
         require(spec.messages->size() == n, "BeepTransport: one message slot per node");
     }
 
-    if (batch.scratch_ == nullptr) {
-        batch.scratch_ = std::make_shared<TransportBatch::Scratch>();
-    }
     batch.prepare(specs.size(), n, params_.message_bits, pool_->worker_count());
-    if (batch.scratch_->workspaces.size() < pool_->worker_count()) {
-        batch.scratch_->workspaces.resize(pool_->worker_count());
-    }
     if (specs.empty()) {
         return;
     }
@@ -88,31 +80,19 @@ void BeepTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
         }
     }
 
-    // Pipeline: while round i is decoding on the pool, a builder task
-    // derives round i+1's Codebook::Round (codewords, schedules, slices,
-    // radii) for its nonce. Builds are pure functions of (messages, nonce),
-    // so overlapping them with decoding cannot change any output. With a
-    // single worker the pipeline would only add synchronization, so the
-    // batch degenerates to build-then-decode per spec.
-    const auto build = [this](const RoundSpec& spec) {
-        return codebook_->round(*spec.messages, spec.nonce);
-    };
-    const bool pipelined = pool_->worker_count() > 1 && specs.size() > 1;
-    std::shared_ptr<const Codebook::Round> current = build(specs.front());
-    std::future<std::shared_ptr<const Codebook::Round>> next;
+    // One pool, two stages per round: build round i's Codebook::Round
+    // (codewords, schedules, dictionaries) fanned out over node blocks, then
+    // decode it fanned out over nodes. The build is a pure function of
+    // (messages, nonce) and the decode of (round, nonce), so the pool size
+    // cannot change any output.
     for (std::size_t i = 0; i < specs.size(); ++i) {
         // Round boundary: a sweep job past its watchdog deadline (or an
         // explicitly cancelled one) unwinds here rather than finishing the
-        // whole batch. The builder future, if in flight, is joined by its
-        // destructor during unwind, so no task outlives the call.
+        // whole batch.
         cancel_poll();
-        if (pipelined && i + 1 < specs.size()) {
-            next = std::async(std::launch::async, build, std::cref(specs[i + 1]));
-        }
-        decode_round_into(*current, specs[i], i, batch);
-        if (i + 1 < specs.size()) {
-            current = pipelined ? next.get() : build(specs[i + 1]);
-        }
+        const std::shared_ptr<const Codebook::Round> round =
+            codebook_->round(*specs[i].messages, specs[i].nonce, pool_.get());
+        decode_round_into(*round, specs[i], i, batch);
     }
 }
 

@@ -69,11 +69,10 @@ struct TransportRound {
 
 /// One round of a batched simulation: the messages (non-owning and never
 /// null — implementations require() it per spec, and the pointee must
-/// outlive the simulate_rounds call, including the pipelined build of later
-/// rounds), the per-round nonce, and an optional fault model (nullptr =
-/// fault-free, otherwise also non-owning with the same lifetime contract).
-/// Sweeps typically share one messages vector across many specs and vary
-/// only the nonce.
+/// outlive the simulate_rounds call), the per-round nonce, and an optional
+/// fault model (nullptr = fault-free, otherwise also non-owning with the
+/// same lifetime contract). Sweeps typically share one messages vector
+/// across many specs and vary only the nonce.
 struct RoundSpec {
     const std::vector<std::optional<Bitstring>>* messages = nullptr;
     std::uint64_t nonce = 0;
@@ -90,8 +89,8 @@ public:
     /// Simulate a batch of rounds, one result per spec, in spec order. This
     /// is the throughput path: per-spec setup (schedule validation, decode
     /// workspaces, engine state) is paid once per batch instead of once per
-    /// round, and implementations may overlap per-round precomputation with
-    /// the decoding of earlier rounds. Outputs are bit-identical to calling
+    /// round. Each round is built, then decoded, both fanned out on the
+    /// transport's one thread pool. Outputs are bit-identical to calling
     /// simulate_round per spec — batching, like threading, only trades
     /// wall-clock (see DESIGN.md section 5).
     virtual std::vector<TransportRound> simulate_rounds(

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "sim/decode_core.h"
 #include "sim/transport.h"
 
 namespace nb {
@@ -39,12 +40,31 @@ void TransportBatch::prepare(std::size_t rounds, std::size_t nodes, std::size_t 
     // no allocator here.
     slots_.assign(rounds * nodes, Slot{});
     stats_.assign(rounds, TransportRoundStats{});
+    std::size_t previous_words = 0;
+    for (const std::size_t used : arena_used_) {
+        previous_words += used;
+    }
     if (arenas_.size() < workers) {
         arenas_.resize(workers);
         arena_used_.resize(workers);
     }
-    for (auto& used : arena_used_) {
-        used = 0;
+    for (std::size_t w = 0; w < arenas_.size(); ++w) {
+        if (w < workers && arenas_[w].size() < previous_words) {
+            arenas_[w].resize(previous_words, 0);
+        }
+        arena_used_[w] = 0;
+    }
+    if (scratch_ == nullptr) {
+        scratch_ = std::make_shared<Scratch>();
+    }
+    auto& workspaces = scratch_->workspaces;
+    if (workspaces.size() < workers) {
+        workspaces.resize(workers);
+    }
+    for (auto& ws : workspaces) {
+        for (const auto& other : workspaces) {
+            ws.reserve_like(other);
+        }
     }
 }
 

@@ -17,8 +17,9 @@
 //     at a time.
 //
 // Arenas and slot tables keep their capacity across simulate_rounds_into
-// calls: after the first batch of a steady-state workload reaches its
-// high-water mark, decoding performs no heap allocation at all (asserted by
+// calls, and a reused batch is pre-sized from the previous batch's bounds:
+// after a steady-state workload has reused its batch once, every later
+// batch decodes with no heap allocation at any worker count (asserted by
 // the steady-state allocation tests). The batch is written by one
 // simulate_rounds_into call at a time (readers may inspect it between
 // calls); it is not a concurrent container.
@@ -113,8 +114,14 @@ private:
     /// type-erases the deleter so this header stays independent of it.
     struct Scratch;
 
-    /// Size the slot/stat tables for a batch (keeps capacity; resets
-    /// cursors). Called by simulate_rounds_into.
+    /// Size the slot/stat tables, arenas and decode scratch for a batch
+    /// decoded by `workers` pool workers (keeps capacity; resets cursors).
+    /// Called by simulate_rounds_into. A reused batch is sized from the
+    /// previous batch's bounds: the pool's dynamic chunk claiming may hand
+    /// any worker any share of the nodes, so every arena is grown to the
+    /// previous batch's total record words and every workspace to the
+    /// largest any worker reached. A fresh batch has no previous bounds and
+    /// pays nothing extra.
     void prepare(std::size_t rounds, std::size_t nodes, std::size_t message_bits,
                  std::size_t workers);
 

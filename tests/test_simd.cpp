@@ -418,28 +418,39 @@ TEST(TransportBatchRing, ReusedBatchMatchesSimulateRounds) {
 }
 
 TEST(TransportBatchRing, SteadyStateDecodeAllocatesNothing) {
-    // The zero-allocation contract of transport_batch.h: with the codebook
-    // round cached (same messages + nonce), a warmed-up batch decode touches
-    // the allocator exactly zero times. Single worker keeps the pipelined
-    // std::async build machinery out of the loop; all_nodes below the
-    // crossover puts the measurement on the bitslice + SoA + arena path.
+    // The zero-allocation contract of transport_batch.h at every worker
+    // count: with the codebook round cached (same messages + nonce), a
+    // reused batch decodes without touching the allocator, whichever nodes
+    // the pool's chunk claiming hands each worker. all_nodes below the
+    // crossover puts the measurement on the bitslice + SoA + arena path,
+    // two_hop on the scalar candidate scan.
     Rng rng(9);
     const Graph graph = make_erdos_renyi(48, 0.15, rng);
     const auto messages = make_messages(graph, 10, 77);
-    SimulationParams params = forced_params(DictionaryPolicy::all_nodes, simd::Kernel::auto_best);
-    params.bitslice_min_candidates = 0;
-    const BeepTransport transport(graph, params);
+    for (const auto policy : {DictionaryPolicy::all_nodes, DictionaryPolicy::two_hop}) {
+        for (const std::size_t threads : {1, 4}) {
+            SimulationParams params = forced_params(policy, simd::Kernel::auto_best);
+            params.bitslice_min_candidates = 0;
+            params.threads = threads;
+            const BeepTransport transport(graph, params);
 
-    std::vector<RoundSpec> specs(4, RoundSpec{&messages, 5, nullptr});
-    TransportBatch batch;
-    transport.simulate_rounds_into(specs, batch);  // builds the round, grows arenas
-    transport.simulate_rounds_into(specs, batch);  // everything at high-water
+            std::vector<RoundSpec> specs(4, RoundSpec{&messages, 5, nullptr});
+            TransportBatch batch;
+            transport.simulate_rounds_into(specs, batch);  // builds the round, grows arenas
+            transport.simulate_rounds_into(specs, batch);  // levels every worker's scratch
 
-    const std::uint64_t before = alloc_hooks::count();
-    transport.simulate_rounds_into(specs, batch);
-    const std::uint64_t after = alloc_hooks::count();
-    EXPECT_EQ(after - before, 0u) << "steady-state batched decode allocated";
-    EXPECT_GT(batch.arena_words(), 0u);
+            for (int warm = 0; warm < 60; ++warm) {
+                const std::uint64_t before = alloc_hooks::count();
+                transport.simulate_rounds_into(specs, batch);
+                const std::uint64_t after = alloc_hooks::count();
+                ASSERT_EQ(after - before, 0u)
+                    << "steady-state batched decode allocated: policy "
+                    << static_cast<int>(policy) << ", threads " << threads << ", warm batch "
+                    << warm;
+            }
+            EXPECT_GT(batch.arena_words(), 0u);
+        }
+    }
 }
 
 }  // namespace

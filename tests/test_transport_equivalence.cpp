@@ -212,8 +212,9 @@ TEST_F(TransportEquivalence, BatchSizeOneMatchesSimulateRound) {
 }
 
 TEST_F(TransportEquivalence, BatchedThreadCountDoesNotChangeOutputs) {
-    // The pipelined batch (threads > 1 overlaps codebook builds with
-    // decoding) must agree round-for-round with the serial batch.
+    // The pooled batch (threads > 1 fans each round's codebook build and
+    // decode out over the pool) must agree round-for-round with the inline
+    // single-worker batch.
     for (const auto policy : {DictionaryPolicy::two_hop, DictionaryPolicy::all_nodes}) {
         const BeepTransport serial(graph_, noisy_params(policy, 1));
         const BeepTransport threaded(graph_, noisy_params(policy, 4));
