@@ -24,21 +24,23 @@ Bitstring BeepCode::codeword(std::uint64_t r) const {
 }
 
 std::vector<std::size_t> BeepCode::one_positions(std::uint64_t r) const {
-    // random_with_weight places 1s at distinct_positions(), which returns a
-    // sorted vector; regenerate it directly to avoid a length_-bit scan.
-    Rng generator = Rng(seed_).derive(0x62656570u, r);
-    return generator.distinct_positions(length_, weight_);
+    return codeword_and_positions(r).second;
 }
 
 std::pair<Bitstring, std::vector<std::size_t>> BeepCode::codeword_and_positions(
     std::uint64_t r) const {
+    std::pair<Bitstring, std::vector<std::size_t>> result;
+    codeword_into(r, result.first, result.second);
+    return result;
+}
+
+void BeepCode::codeword_into(std::uint64_t r, Bitstring& codeword,
+                             std::vector<std::size_t>& positions) const {
     Rng generator = Rng(seed_).derive(0x62656570u, r);
-    std::vector<std::size_t> positions = generator.distinct_positions(length_, weight_);
-    Bitstring codeword(length_);
-    for (const auto position : positions) {
-        codeword.set(position);
-    }
-    return {std::move(codeword), std::move(positions)};
+    Bitstring::random_with_weight_into(generator, length_, weight_, codeword);
+    positions.clear();
+    positions.reserve(weight_);
+    codeword.for_each_one([&positions](std::size_t p) { positions.push_back(p); });
 }
 
 }  // namespace nb

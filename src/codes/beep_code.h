@@ -46,6 +46,14 @@ public:
     std::pair<Bitstring, std::vector<std::size_t>> codeword_and_positions(
         std::uint64_t r) const;
 
+    /// codeword_and_positions(r) into caller-owned storage, reusing the
+    /// string's words and the vector's capacity (the codebook's per-round
+    /// rebuild writes every node's slot in place). The sampler keeps its
+    /// set in the codeword's own words (Bitstring::random_with_weight_into)
+    /// and the sorted positions are then read off the words.
+    void codeword_into(std::uint64_t r, Bitstring& codeword,
+                       std::vector<std::size_t>& positions) const;
+
     std::size_t length() const noexcept { return length_; }
     std::size_t weight() const noexcept { return weight_; }
     std::uint64_t seed() const noexcept { return seed_; }

@@ -33,12 +33,18 @@ Bitstring Bitstring::from_string(const std::string& bits) {
 }
 
 Bitstring Bitstring::random(Rng& rng, std::size_t size) {
-    Bitstring result(size);
-    for (auto& word : result.words_) {
+    Bitstring result;
+    random_into(rng, size, result);
+    return result;
+}
+
+void Bitstring::random_into(Rng& rng, std::size_t size, Bitstring& out) {
+    out.size_ = size;
+    out.words_.resize(word_count_for(size));
+    for (auto& word : out.words_) {
         word = rng.next_u64();
     }
-    result.clear_padding();
-    return result;
+    out.clear_padding();
 }
 
 Bitstring Bitstring::from_words(std::span<const std::uint64_t> words, std::size_t bits) {
@@ -53,12 +59,40 @@ Bitstring Bitstring::from_words(std::span<const std::uint64_t> words, std::size_
 }
 
 Bitstring Bitstring::random_with_weight(Rng& rng, std::size_t size, std::size_t weight) {
-    require(weight <= size, "Bitstring::random_with_weight: weight must be <= size");
-    Bitstring result(size);
-    for (const auto position : rng.distinct_positions(size, weight)) {
-        result.set(position);
-    }
+    Bitstring result;
+    random_with_weight_into(rng, size, weight, result);
     return result;
+}
+
+void Bitstring::random_with_weight_into(Rng& rng, std::size_t size, std::size_t weight,
+                                        Bitstring& out) {
+    require(weight <= size, "Bitstring::random_with_weight: weight must be <= size");
+    out.reset(size);
+    // Set bit i, returning whether it was already set.
+    const auto test_and_set = [&out](std::size_t i) {
+        std::uint64_t& word = out.words_[i / bits_per_word];
+        const std::uint64_t mask = std::uint64_t{1} << (i % bits_per_word);
+        const bool was_set = (word & mask) != 0;
+        word |= mask;
+        return was_set;
+    };
+    if (size <= Rng::kFloydMaxUniverse) {
+        // Floyd: step j draws t in [0, j]; t is taken if new, else j (which
+        // no earlier step can have chosen).
+        for (std::size_t j = size - weight; j < size; ++j) {
+            const auto t = static_cast<std::size_t>(rng.next_below(j + 1));
+            if (test_and_set(t)) {
+                test_and_set(j);
+            }
+        }
+    } else {
+        // Rejection sampling: redraw duplicates until `weight` are distinct.
+        for (std::size_t chosen = 0; chosen < weight;) {
+            if (!test_and_set(static_cast<std::size_t>(rng.next_below(size)))) {
+                ++chosen;
+            }
+        }
+    }
 }
 
 bool Bitstring::test(std::size_t index) const {
@@ -201,19 +235,25 @@ void Bitstring::store_bits(std::size_t pos, std::uint64_t value, std::size_t wid
 }
 
 Bitstring Bitstring::tail(std::size_t from) const {
+    Bitstring result;
+    tail_into(from, result);
+    return result;
+}
+
+void Bitstring::tail_into(std::size_t from, Bitstring& out) const {
     require(from <= size_, "Bitstring::tail: start out of range");
-    Bitstring result(size_ - from);
+    out.size_ = size_ - from;
+    out.words_.resize(word_count_for(out.size_));
     const std::size_t word = from / bits_per_word;
     const std::size_t offset = from % bits_per_word;
-    for (std::size_t w = 0; w < result.words_.size(); ++w) {
+    for (std::size_t w = 0; w < out.words_.size(); ++w) {
         std::uint64_t value = words_[word + w] >> offset;
         if (offset != 0 && word + w + 1 < words_.size()) {
             value |= words_[word + w + 1] << (bits_per_word - offset);
         }
-        result.words_[w] = value;
+        out.words_[w] = value;
     }
-    result.clear_padding();
-    return result;
+    out.clear_padding();
 }
 
 Bitstring Bitstring::gather(const std::vector<std::size_t>& positions) const {
@@ -253,16 +293,23 @@ void Bitstring::gather_mask_into(const Bitstring& mask, Bitstring& out,
 
 Bitstring Bitstring::scatter(std::size_t size, const std::vector<std::size_t>& positions,
                              const Bitstring& values) {
+    Bitstring result;
+    scatter_into(size, positions, values, result);
+    return result;
+}
+
+void Bitstring::scatter_into(std::size_t size, std::span<const std::size_t> positions,
+                             const Bitstring& values, Bitstring& out) {
     require(values.size() == positions.size(),
             "Bitstring::scatter: values and positions must have matching length");
-    Bitstring result(size);
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        require(positions[i] < size, "Bitstring::scatter: position out of range");
-        if (values.test(i)) {
-            result.set(positions[i]);
-        }
+    out.reset(size);
+    for (const std::size_t p : positions) {
+        require(p < size, "Bitstring::scatter: position out of range");
     }
-    return result;
+    values.for_each_one([&](std::size_t i) {
+        const std::size_t p = positions[i];
+        out.words_[p / bits_per_word] |= std::uint64_t{1} << (p % bits_per_word);
+    });
 }
 
 void Bitstring::apply_noise(Rng& rng, double epsilon) {

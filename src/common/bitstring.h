@@ -36,6 +36,10 @@ public:
     /// Uniformly random bitstring of `size` bits.
     static Bitstring random(Rng& rng, std::size_t size);
 
+    /// random() into a caller-owned result, reusing its word storage: the
+    /// same draws, one next_u64() per word.
+    static void random_into(Rng& rng, std::size_t size, Bitstring& out);
+
     /// Bitstring of `bits` bits copied from packed word storage (the layout
     /// words() exposes). `words` must hold ceil(bits / 64) words or more;
     /// unused high bits of the last word are cleared. The zero-copy
@@ -46,6 +50,14 @@ public:
     /// Random bitstring of `size` bits with exactly `weight` ones
     /// (uniform over all such strings). Precondition: weight <= size.
     static Bitstring random_with_weight(Rng& rng, std::size_t size, std::size_t weight);
+
+    /// random_with_weight() into a caller-owned result, reusing its word
+    /// storage. The sampler keeps its chosen set in the result's own words
+    /// and makes exactly the draws of Rng::distinct_positions(size, weight)
+    /// (Floyd's algorithm, or rejection sampling above
+    /// Rng::kFloydMaxUniverse), so the 1s land at exactly those positions.
+    static void random_with_weight_into(Rng& rng, std::size_t size, std::size_t weight,
+                                        Bitstring& out);
 
     std::size_t size() const noexcept { return size_; }
     bool empty() const noexcept { return size_ == 0; }
@@ -137,6 +149,10 @@ public:
     /// Precondition: from <= size().
     Bitstring tail(std::size_t from) const;
 
+    /// tail() into a caller-owned result, reusing its word storage.
+    /// Precondition additionally: &out != this.
+    void tail_into(std::size_t from, Bitstring& out) const;
+
     /// Gather the bits of this string at the given positions, in order:
     /// result[i] = this[positions[i]]. Used to extract the subsequence
     /// y_{v,w} at the 1-positions of C(r_w) (Section 4, Lemma 10).
@@ -164,6 +180,11 @@ public:
     /// C(r). Precondition: values.size() == positions.size().
     static Bitstring scatter(std::size_t size, const std::vector<std::size_t>& positions,
                              const Bitstring& values);
+
+    /// scatter() into a caller-owned result (reset to `size` bits), reusing
+    /// its word storage. Precondition additionally: &out != &values.
+    static void scatter_into(std::size_t size, std::span<const std::size_t> positions,
+                             const Bitstring& values, Bitstring& out);
 
     /// Flip each bit independently with probability `epsilon` — the noisy
     /// beeping channel. Uses geometric skip sampling: O(#flips) expected work.

@@ -116,7 +116,7 @@ std::vector<std::size_t> Rng::distinct_positions(std::size_t universe, std::size
     // For dense requests a plain partial Fisher-Yates over a scratch vector
     // would allocate O(universe); Floyd + membership bitmap keeps memory at
     // O(universe/8) only when universe is small, otherwise uses sorted probe.
-    if (universe <= (1u << 22)) {
+    if (universe <= kFloydMaxUniverse) {
         taken.assign(universe, false);
         for (std::size_t j = universe - count; j < universe; ++j) {
             const auto t = static_cast<std::size_t>(next_below(j + 1));

@@ -53,9 +53,14 @@ public:
     std::uint64_t geometric_skip_with(double log1p_neg_p) noexcept;
 
     /// `count` distinct positions sampled uniformly from [0, universe),
-    /// returned sorted ascending (Floyd's algorithm).
+    /// returned sorted ascending (Floyd's algorithm). The reference for
+    /// Bitstring::random_with_weight_into, which makes the same draws.
     /// Precondition: count <= universe.
     std::vector<std::size_t> distinct_positions(std::size_t universe, std::size_t count);
+
+    /// The largest universe distinct_positions samples with Floyd's
+    /// algorithm; above it, it rejection-samples instead.
+    static constexpr std::size_t kFloydMaxUniverse = std::size_t{1} << 22;
 
     /// Fisher-Yates shuffle of [first, last) index order applied to a vector.
     template <typename T>

@@ -39,17 +39,33 @@ void for_node_blocks(ThreadPool* pool, std::size_t count, const Body& body) {
     }
 }
 
+/// True iff `p` is its object's only owner, with acquire ordering: every
+/// access a former owner made before dropping its reference happens before
+/// the caller's next writes. Exact only while no new owner can appear.
+template <typename T>
+bool sole_owner(const std::shared_ptr<T>& p) {
+    if (p.use_count() != 1) {
+        return false;
+    }
+    // use_count() is a relaxed load. Copying the pointer increments the
+    // count with an acquire-release RMW, which synchronizes with the former
+    // owners' releasing decrements.
+    [[maybe_unused]] const std::shared_ptr<T> acquire = p;
+    return true;
+}
+
 /// Pad/flag an optional algorithm message into a transport payload:
 /// bit 0 = presence, bits 1..message_bits = the message (zero-padded).
-Bitstring make_payload(const std::optional<Bitstring>& message, std::size_t message_bits) {
-    Bitstring payload(message_bits + 1);
+/// Written into `payload`'s existing storage.
+void make_payload_into(const std::optional<Bitstring>& message, std::size_t message_bits,
+                       Bitstring& payload) {
+    payload.reset(message_bits + 1);
     if (message.has_value()) {
         require(message->size() <= message_bits,
                 "BeepTransport: message exceeds the bit budget");
         payload.set(0);
         message->for_each_one([&payload](std::size_t i) { payload.set(1 + i); });
     }
-    return payload;
 }
 
 std::shared_ptr<const CombinedCode> make_combined(const SimulationParams& params,
@@ -358,12 +374,25 @@ std::shared_ptr<const Codebook::Round> Codebook::round(
     const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce,
     ThreadPool* pool) const {
     std::shared_ptr<const Round> prev;
+    std::shared_ptr<Round> recycled;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (cached_ != nullptr && cached_->nonce == nonce && cached_->messages == messages) {
             return cached_;
         }
-        prev = cached_;
+        // A superseded round that only the cache still owns is taken out of
+        // it and rebuilt in place: it already has this codebook's shape, so
+        // the rebuild reuses every slot's storage instead of allocating a
+        // new round and freeing the old one. The ownership test cannot go
+        // stale while mutex_ is held: every new reference to a round is a
+        // copy of cached_ taken under mutex_ (a hit above, `prev` below, a
+        // delta build's donor capture), so no second owner can appear.
+        // Same-nonce rounds stay donors instead.
+        if (cached_ != nullptr && cached_->nonce != nonce && sole_owner(cached_)) {
+            recycled = std::const_pointer_cast<Round>(std::move(cached_));
+        } else {
+            prev = cached_;
+        }
     }
     // A same-nonce donor lets the rebuild copy everything the message edit
     // did not touch: the previous round of this codebook first, else the
@@ -375,18 +404,22 @@ std::shared_ptr<const Codebook::Round> Codebook::round(
         donor = donor_round_;
     }
     // Build outside the lock: rebuilds are the expensive path and concurrent
-    // callers with distinct keys must not serialize on each other.
+    // callers with distinct keys must not serialize on each other. A build
+    // that throws drops `recycled` with it, so no half-written round stays
+    // reachable.
+    const bool recycling = recycled != nullptr;
     BuildTally tally;
     std::shared_ptr<const Round> fresh =
-        build_round(messages, nonce, std::move(donor), tally, pool);
-    // The superseded round is swapped out under the lock but released after
-    // it: freeing a large round's per-node vectors takes milliseconds, and
-    // concurrent cache hits must not wait on that.
+        build_round(messages, nonce, std::move(donor), tally, pool, std::move(recycled));
+    // A superseded round that was not recycled is swapped out under the
+    // lock but released after it: freeing a large round's per-node vectors
+    // takes milliseconds, and concurrent cache hits must not wait on that.
     std::shared_ptr<const Round> superseded = fresh;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         cached_.swap(superseded);
         ++stats_.round_builds;
+        stats_.round_recycles += recycling ? 1 : 0;
         stats_.codeword_builds += tally.codewords_generated;
         stats_.payload_encodes += tally.encodes_generated;
         stats_.codeword_reuses += tally.codewords_reused;
@@ -397,7 +430,8 @@ std::shared_ptr<const Codebook::Round> Codebook::round(
 
 std::shared_ptr<Codebook::Round> Codebook::build_round(
     const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce,
-    std::shared_ptr<const Round> donor_round, BuildTally& tally, ThreadPool* pool) const {
+    std::shared_ptr<const Round> donor_round, BuildTally& tally, ThreadPool* pool,
+    std::shared_ptr<Round> round) const {
     const std::size_t n = graph_.node_count();
     require(messages.size() == n, "Codebook: one message slot per node");
 
@@ -413,11 +447,22 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         return donor != nullptr && v < donor_n && messages[v] == donor->messages[v];
     };
 
-    auto round = std::make_shared<Round>();
+    // `round` is null (build a new one) or a superseded round of this
+    // codebook being recycled: same graph and view, so every vector already
+    // has its final size. Every field below is assigned, never accumulated
+    // into, and every per-slot write goes through an _into form or a
+    // copy-assignment that reuses the slot's storage, so a recycled round
+    // ends up equal to a new one and a warm rebuild allocates next to
+    // nothing. (Halo slots of a shard view are written by no build, so they
+    // stay empty either way.)
+    if (round == nullptr) {
+        round = std::make_shared<Round>();
+    }
     round->nonce = nonce;
     round->rng = Rng(params_.transport_seed).derive(0x726f756eu, nonce);
 
     const std::size_t payload_bits = params_.payload_bits();
+    const std::size_t decoys = params_.decoy_count;
     const BeepCode& beep = beep_code();
     const DistanceCode& distance = distance_code();
 
@@ -439,32 +484,35 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     // worker ran it — so the round is bit-identical for any pool size.
     // Counters are tallied serially, in index order.
 
+    // Phase-2 candidate dictionary over the entry space: the node payloads
+    // (filled below), the null payload, then the decoy payloads.
+    const std::size_t entry_count = n + 1 + decoys;
+    round->candidate_messages.resize(entry_count);
+    round->candidate_messages[n].reset(payload_bits);  // the null payload
+
     // Decoys: inputs and payloads drawn independently of everything heard —
     // a function of the nonce alone, so any donor serves them whole. A
     // handful of entries: built serially, before the per-node fan-out.
-    std::vector<Bitstring> decoy_payloads;
-    round->decoy_inputs.resize(params_.decoy_count);
-    decoy_payloads.reserve(params_.decoy_count);
     if (donor != nullptr) {
         round->decoy_inputs = donor->decoy_inputs;
-        for (std::size_t i = 0; i < params_.decoy_count; ++i) {
-            decoy_payloads.push_back(donor->candidate_messages[donor_n + 1 + i]);
-        }
         round->decoy_codewords = donor->decoy_codewords;
         round->decoy_one_positions = donor->decoy_one_positions;
-        tally.codewords_reused += params_.decoy_count;
+        for (std::size_t i = 0; i < decoys; ++i) {
+            round->candidate_messages[n + 1 + i] = donor->candidate_messages[donor_n + 1 + i];
+        }
+        tally.codewords_reused += decoys;
     } else {
-        round->decoy_codewords.reserve(params_.decoy_count);
-        round->decoy_one_positions.reserve(params_.decoy_count);
-        for (std::size_t i = 0; i < params_.decoy_count; ++i) {
+        round->decoy_inputs.resize(decoys);
+        round->decoy_codewords.resize(decoys);
+        round->decoy_one_positions.resize(decoys);
+        for (std::size_t i = 0; i < decoys; ++i) {
             Rng decoy_rng = round->rng.derive(0x6465636fu, i);
             round->decoy_inputs[i] = decoy_rng.next_u64();
-            decoy_payloads.push_back(Bitstring::random(decoy_rng, payload_bits));
-            auto [codeword, positions] = beep.codeword_and_positions(round->decoy_inputs[i]);
-            round->decoy_codewords.push_back(std::move(codeword));
-            round->decoy_one_positions.push_back(std::move(positions));
+            Bitstring::random_into(decoy_rng, payload_bits, round->candidate_messages[n + 1 + i]);
+            beep.codeword_into(round->decoy_inputs[i], round->decoy_codewords[i],
+                               round->decoy_one_positions[i]);
         }
-        tally.codewords_generated += params_.decoy_count;
+        tally.codewords_generated += decoys;
     }
 
     // Per node: the cache key, the payload, and — for owned nodes — the
@@ -479,9 +527,11 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     for_node_blocks(pool, n, [&](std::size_t begin, std::size_t end) {
         for (std::size_t v = begin; v < end; ++v) {
             round->messages[v] = messages[v];
-            round->payloads[v] = donor_message_equal(v)
-                                     ? donor->payloads[v]
-                                     : make_payload(messages[v], params_.message_bits);
+            if (donor_message_equal(v)) {
+                round->payloads[v] = donor->payloads[v];
+            } else {
+                make_payload_into(messages[v], params_.message_bits, round->payloads[v]);
+            }
             if (v < owned_lo || v >= owned_hi) {
                 continue;
             }
@@ -493,9 +543,8 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
                 round->inputs[v] =
                     round->rng.derive(0x7069636bu, global_id(static_cast<NodeId>(v)))
                         .next_u64();
-                auto [codeword, positions] = beep.codeword_and_positions(round->inputs[v]);
-                round->codewords[v] = std::move(codeword);
-                round->one_positions[v] = std::move(positions);
+                beep.codeword_into(round->inputs[v], round->codewords[v],
+                                   round->one_positions[v]);
             }
         }
     });
@@ -505,30 +554,22 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     tally.codewords_reused += owned_reused;
     tally.codewords_generated += (owned_hi - owned_lo) - owned_reused;
 
-    // Phase-2 candidate dictionary over the entry space, encoded once. Donor
-    // entries: a node entry is reusable iff its message is unchanged; the
-    // null + decoy tail block is message-independent and maps to the donor's
-    // tail block whatever its node count.
-    const std::size_t entry_count = n + 1 + params_.decoy_count;
-    round->candidate_messages.resize(entry_count);
-    round->candidate_messages[n] = Bitstring(payload_bits);  // the null payload
-    for (std::size_t i = 0; i < params_.decoy_count; ++i) {
-        round->candidate_messages[n + 1 + i] = std::move(decoy_payloads[i]);
-    }
+    // Encode the dictionary once. Donor entries: a node entry is reusable
+    // iff its message is unchanged; the null + decoy tail block is
+    // message-independent and maps to the donor's tail block whatever its
+    // node count.
     const auto donor_entry = [&](std::size_t e) -> std::ptrdiff_t {
         if (e < n) {
             return donor_message_equal(e) ? static_cast<std::ptrdiff_t>(e) : -1;
         }
         return donor != nullptr ? static_cast<std::ptrdiff_t>(donor_n + (e - n)) : -1;
     };
-    std::vector<std::size_t> regenerated_entries;  // columns the SoA patch rewrites
+    std::size_t regenerated = 0;
     for (std::size_t e = 0; e < entry_count; ++e) {
-        if (donor_entry(e) < 0) {
-            regenerated_entries.push_back(e);
-        }
+        regenerated += donor_entry(e) < 0 ? 1 : 0;
     }
-    tally.encodes_generated += regenerated_entries.size();
-    tally.encodes_reused += entry_count - regenerated_entries.size();
+    tally.encodes_generated += regenerated;
+    tally.encodes_reused += entry_count - regenerated;
     round->candidate_encoded.resize(entry_count);
     round->candidate_tails.resize(entry_count);
     for_node_blocks(pool, entry_count, [&](std::size_t begin, std::size_t end) {
@@ -543,8 +584,8 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
                 round->candidate_tails[e] = donor->candidate_tails[static_cast<std::size_t>(d)];
             } else {
                 const Bitstring& candidate = round->candidate_messages[e];
-                round->candidate_encoded[e] = distance.encode(candidate);
-                round->candidate_tails[e] = candidate.tail(1);
+                distance.encode_into(candidate, round->candidate_encoded[e]);
+                candidate.tail_into(1, round->candidate_tails[e]);
             }
         }
     });
@@ -557,28 +598,33 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     // waste. The O(n^2) node-payload gap block is messages-keyed in
     // node_gaps_, so a fixed-messages nonce sweep recomputes only the
     // decoy rows each round.
-    if (params_.dictionary == DictionaryPolicy::all_nodes) {
-        if (n + params_.decoy_count >= params_.bitslice_min_candidates) {
-            if (donor != nullptr && donor_n == n && !donor->codeword_slices.empty()) {
-                // Same entry space, same nonce: the codeword planes are
-                // bit-identical (copies share the scratch-bias epoch), and
-                // the SoA dictionary needs only the regenerated columns
-                // patched in place instead of a full re-transposition.
-                round->codeword_slices = donor->codeword_slices;
-                round->candidate_encoded_soa = donor->candidate_encoded_soa;
-                for (const std::size_t e : regenerated_entries) {
+    const bool all_nodes = params_.dictionary == DictionaryPolicy::all_nodes;
+    if (all_nodes && n + decoys >= params_.bitslice_min_candidates) {
+        if (donor != nullptr && donor_n == n && !donor->codeword_slices.empty()) {
+            // Same entry space, same nonce: the codeword planes are
+            // bit-identical (copies share the scratch-bias epoch), and the
+            // SoA dictionary needs only the regenerated columns patched in
+            // place instead of a full re-transposition.
+            round->codeword_slices = donor->codeword_slices;
+            round->candidate_encoded_soa = donor->candidate_encoded_soa;
+            for (std::size_t e = 0; e < entry_count; ++e) {
+                if (donor_entry(e) < 0) {
                     round->candidate_encoded_soa.set_column(e, round->candidate_encoded[e]);
                 }
-            } else {
-                round->codeword_slices =
-                    BitsliceMatrix(round->codewords, round->decoy_codewords);
-                // The phase-2 dictionary transposed word-major for the
-                // vectorized full-sweep scan, gated with the bitslice matrix:
-                // both pay off exactly when every node scans the whole entry
-                // space (DistanceCode::nearest_entry_soa).
-                round->candidate_encoded_soa.build(round->candidate_encoded);
             }
+        } else {
+            round->codeword_slices = BitsliceMatrix(round->codewords, round->decoy_codewords);
+            // The phase-2 dictionary transposed word-major for the
+            // vectorized full-sweep scan, gated with the bitslice matrix:
+            // both pay off exactly when every node scans the whole entry
+            // space (DistanceCode::nearest_entry_soa).
+            round->candidate_encoded_soa.build(round->candidate_encoded);
         }
+    } else {
+        round->codeword_slices = BitsliceMatrix();
+        round->candidate_encoded_soa = WordSoa();
+    }
+    if (all_nodes) {
         const std::span<const Bitstring> all_messages(round->candidate_messages);
         const std::span<const Bitstring> all_encoded(round->candidate_encoded);
         std::shared_ptr<const NodeGapCache> node_gaps;
@@ -618,6 +664,8 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         }
         round->decode_gaps =
             distance.extend_decode_gaps(all_messages, all_encoded, node_gaps->gaps);
+    } else {
+        round->decode_gaps.clear();
     }
 
     // Fault-free phase-2 schedules CD(r_v, payload_v): D(payload_v) is
@@ -631,11 +679,13 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
             if (donor_message_equal(v)) {
                 round->combined_schedules[v] = donor->combined_schedules[v];
             } else {
-                round->combined_schedules[v] = Bitstring::scatter(
-                    beep.length(), round->one_positions[v], round->candidate_encoded[v]);
+                Bitstring::scatter_into(beep.length(), round->one_positions[v],
+                                        round->candidate_encoded[v],
+                                        round->combined_schedules[v]);
             }
         }
     });
+    round->phase2_beeps = 0;
     for (std::size_t v = owned_lo; v < owned_hi; ++v) {
         round->phase2_beeps += round->combined_schedules[v].count();
     }

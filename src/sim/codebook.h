@@ -39,8 +39,14 @@
 // Rounds are handed out as shared_ptr<const Round>: simulate_round keeps its
 // round alive for the duration of the call, so concurrent callers with
 // different (messages, nonce) keys never invalidate each other (they only
-// thrash the single-entry cache). Construction counters are exposed via
-// stats() so tests can assert the once-per-transport contract.
+// thrash the single-entry cache). A handed-out round is never modified: a
+// rebuild under a new nonce writes into the superseded round's storage only
+// when the cache is its sole owner — once every caller has dropped it — and
+// otherwise builds a new round (DESIGN.md section 5). So a caller that keeps
+// its round keeps it intact, and the steady state of one caller per
+// codebook (the transports) rebuilds in place without allocating.
+// Construction counters are exposed via stats() so tests can assert the
+// once-per-transport contract.
 #pragma once
 
 #include <cstdint>
@@ -249,6 +255,7 @@ public:
         std::size_t code_builds = 0;      ///< code-triple constructions (0 when
                                           ///< shared from a delta base)
         std::size_t round_builds = 0;     ///< distinct (messages, nonce) rebuilds
+        std::size_t round_recycles = 0;   ///< rebuilds written into the superseded round
         std::size_t codeword_builds = 0;  ///< beep codewords generated in total
         std::size_t payload_encodes = 0;  ///< distance-code encodings generated
 
@@ -274,10 +281,12 @@ private:
         std::size_t encodes_reused = 0;
     };
 
+    /// Builds the round for (messages, nonce) into `round` — a superseded
+    /// round of this codebook to recycle, or null for a new one.
     std::shared_ptr<Round> build_round(const std::vector<std::optional<Bitstring>>& messages,
                                        std::uint64_t nonce,
                                        std::shared_ptr<const Round> donor, BuildTally& tally,
-                                       ThreadPool* pool) const;
+                                       ThreadPool* pool, std::shared_ptr<Round> round) const;
 
     void build_candidate_index();
     void build_candidate_index_delta(const Codebook& base);

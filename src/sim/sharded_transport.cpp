@@ -194,6 +194,7 @@ void ShardedTransport::decode_rounds(std::span<const RoundSpec> specs,
             for (std::size_t li = 0; li < ln; ++li) {
                 sr.messages[li] = (*spec.messages)[sh.local_to_global[li]];
             }
+            sr.round.reset();  // sole ownership lets round() rebuild the old one in place
             sr.round = shards_[s].codebook->round(sr.messages, spec.nonce);
             std::uint64_t* row = ext->table.data() + row_offset_words_[s];
             for (const auto e : sh.exports) {

@@ -187,6 +187,35 @@ TEST(Bitstring, ScatterSizeMismatchThrows) {
     EXPECT_THROW(Bitstring::scatter(8, {1, 2}, values), precondition_error);
 }
 
+TEST(Bitstring, IntoFormsOverwriteStaleResults) {
+    // The _into forms reuse the result's storage: stale contents of any
+    // size (here longer, then shorter, than the result) must not leak.
+    Rng rng(5);
+    const Bitstring source = Bitstring::random(rng, 200);
+    const std::vector<std::size_t> positions{3, 64, 65, 130, 199};
+    const Bitstring values = Bitstring::from_string("11011");
+    for (const std::size_t stale_bits : {400u, 7u}) {
+        Bitstring stale = ~Bitstring(stale_bits);
+        source.tail_into(67, stale);
+        EXPECT_EQ(stale, source.tail(67));
+        stale = ~Bitstring(stale_bits);
+        Bitstring::scatter_into(200, positions, values, stale);
+        EXPECT_EQ(stale, Bitstring::scatter(200, positions, values));
+        stale = ~Bitstring(stale_bits);
+        Rng a(9);
+        Rng b(9);
+        Bitstring::random_into(a, 130, stale);
+        EXPECT_EQ(stale, Bitstring::random(b, 130));
+        // The in-place weight sampler sets exactly the positions
+        // distinct_positions draws from the same stream.
+        stale = ~Bitstring(stale_bits);
+        Bitstring::random_with_weight_into(a, 300, 40, stale);
+        EXPECT_EQ(stale.one_positions(), b.distinct_positions(300, 40));
+    }
+    Bitstring out;
+    EXPECT_THROW(Bitstring::scatter_into(100, positions, values, out), precondition_error);
+}
+
 TEST(Bitstring, RandomWithWeightExact) {
     Rng rng(7);
     for (const std::size_t weight : {0u, 1u, 17u, 100u}) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "codes/analysis.h"
@@ -13,6 +14,7 @@
 #include "codes/distance_code.h"
 #include "codes/kautz_singleton.h"
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace nb {
 namespace {
@@ -48,6 +50,44 @@ TEST(BeepCode, OnePositionsMatchCodeword) {
     const BeepCode code(800, 25, 3);
     for (std::uint64_t r = 0; r < 10; ++r) {
         EXPECT_EQ(code.one_positions(r), code.codeword(r).one_positions());
+    }
+}
+
+/// The codeword distinct_positions() + sort would give for input r: the
+/// sampler codeword_into must reproduce draw for draw.
+std::vector<std::size_t> reference_positions(const BeepCode& code, std::uint64_t r) {
+    Rng generator = Rng(code.seed()).derive(0x62656570u, r);
+    return generator.distinct_positions(code.length(), code.weight());
+}
+
+TEST(BeepCode, CodewordIntoMatchesDistinctPositionsReference) {
+    // The ring-64k shape (B = 2, c_eps = 4: 576 bits, weight 48), a code
+    // with weight == length (the sampler must set every bit), and one above
+    // Rng::kFloydMaxUniverse, where distinct_positions switches to rejection
+    // sampling. The output strings are reused across inputs and shapes, so
+    // stale words or positions would show.
+    struct Shape {
+        std::size_t length;
+        std::size_t weight;
+        std::uint64_t inputs;
+    };
+    const Shape shapes[] = {{576, 48, 10000}, {100, 100, 10000}, {Rng::kFloydMaxUniverse + 77, 12, 300}};
+    Bitstring codeword = Bitstring::from_string("1011");
+    std::vector<std::size_t> positions = {9, 9, 9};
+    for (const Shape& shape : shapes) {
+        SCOPED_TRACE("length " + std::to_string(shape.length));
+        const BeepCode code(shape.length, shape.weight, 0xbeef);
+        Rng inputs(shape.length);
+        for (std::uint64_t i = 0; i < shape.inputs; ++i) {
+            const std::uint64_t r = inputs.next_u64();
+            const std::vector<std::size_t> expected = reference_positions(code, r);
+            code.codeword_into(r, codeword, positions);
+            ASSERT_EQ(positions, expected) << "input " << r;
+            ASSERT_EQ(codeword.size(), shape.length);
+            ASSERT_EQ(codeword.one_positions(), expected) << "input " << r;
+        }
+        EXPECT_EQ(code.codeword(7).one_positions(), reference_positions(code, 7));
+        EXPECT_EQ(code.one_positions(7), reference_positions(code, 7));
     }
 }
 
@@ -94,6 +134,18 @@ TEST(DistanceCode, EncodeDeterministicAndSized) {
     EXPECT_EQ(code.encode(m), code.encode(m));
     EXPECT_EQ(code.encode(m).size(), 200u);
     EXPECT_THROW(code.encode(Bitstring(7)), precondition_error);
+}
+
+TEST(DistanceCode, EncodeIntoReusesStorageAndMatchesEncode) {
+    const DistanceCode code(6, 100, 4);
+    Bitstring out = Bitstring::from_string("111");  // stale, wrong size
+    Rng rng(8);
+    for (int i = 0; i < 50; ++i) {
+        const Bitstring message = Bitstring::random(rng, 6);
+        code.encode_into(message, out);
+        ASSERT_EQ(out, code.encode(message));
+    }
+    EXPECT_THROW(code.encode_into(Bitstring(5), out), precondition_error);
 }
 
 TEST(DistanceCode, MinDistanceMeetsLemma6Bound) {

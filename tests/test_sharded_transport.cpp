@@ -202,6 +202,12 @@ TEST_F(ShardedTransportTest, ReusedBatchStaysIdenticalAcrossCalls) {
     }
     EXPECT_EQ(first, second);
     EXPECT_EQ(first, run_fingerprint(transport, messages_, faults_));
+    // Stage A drops each shard's previous round before building the next,
+    // so warm shard rounds are rebuilt in place (Codebook::round).
+    ASSERT_GT(transport.shard_count(), 1u);
+    for (std::size_t s = 0; s < transport.shard_count(); ++s) {
+        EXPECT_GT(transport.shard_codebook(s).stats().round_recycles, 0u) << "shard " << s;
+    }
 }
 
 TEST_F(ShardedTransportTest, AllNodesDictionaryDelegatesToUnsharded) {
