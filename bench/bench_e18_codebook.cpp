@@ -1,13 +1,12 @@
-// E18 — codebook construction modes: fresh vs incremental vs mmap-load.
+// E18 — codebook construction modes: fresh vs mmap-load.
 //
 // The candidate dictionary dominates Codebook construction cost (two-hop
-// sets are O(sum deg^2)); ROADMAP item 5 adds two ways to avoid paying it:
-// delta-updating an existing codebook after a graph edit, and mmap-loading
-// a serialized nb-codebook/v1 file (sim/codebook_io.h). This bench measures
-// all three modes on the same graphs and verifies the property contract —
-// every mode yields a fingerprint identical to a fresh build — then
-// demonstrates the warm-start cache path (build + save, clear, reload from
-// disk) and reports its counters.
+// sets are O(sum deg^2)); mmap-loading a serialized nb-codebook/v1 file
+// (sim/codebook_io.h) avoids paying it. This bench measures both modes on
+// the same graphs and verifies the property contract — the loaded codebook's
+// fingerprint is identical to a fresh build's — then demonstrates the
+// warm-start cache path (build + save, clear, reload from disk) and reports
+// its counters.
 //
 // BENCH_codebook.json (nb-codebook-bench/v1) is consumed by
 // check_perf_regression.py --codebook, which gates on the mmap speedup, and
@@ -47,21 +46,18 @@ double median_ms(std::size_t reps, Fn&& fn) {
 struct ModeRow {
     std::size_t n = 0;
     double fresh_ms = 0;
-    double incremental_ms = 0;
-    double incremental_fresh_ms = 0;  ///< fresh build of the *edited* graph
     double mmap_load_ms = 0;
-    std::size_t rows_reused = 0;
-    bool identical = false;  ///< every mode fingerprint-matched fresh
+    bool identical = false;  ///< the loaded codebook fingerprint-matched fresh
 };
 
 }  // namespace
 
 int main() {
     using namespace nb;
-    bench::header("E18", "codebook build modes: fresh vs incremental vs mmap-load",
-                  "delta updates and serialized indexes avoid re-running the "
-                  "O(sum deg^2) dictionary construction; both are "
-                  "fingerprint-identical to a fresh build");
+    bench::header("E18", "codebook build modes: fresh vs mmap-load",
+                  "serialized indexes avoid re-running the O(sum deg^2) "
+                  "dictionary construction and are fingerprint-identical to a "
+                  "fresh build");
 
     const std::size_t degree = 16;
     const std::size_t reps = 5;
@@ -75,33 +71,16 @@ int main() {
     params.decoy_count = 16;
 
     std::vector<ModeRow> rows;
-    Table table({"n", "fresh ms", "delta ms", "fresh-edit ms", "mmap ms", "rows reused",
-                 "mmap speedup", "identical"});
+    Table table({"n", "fresh ms", "mmap ms", "mmap speedup", "identical"});
     for (const std::size_t n : {std::size_t{1024}, std::size_t{4096}}) {
         const Graph g = bench::regular_graph(n, degree, 0xe18 + n);
-
-        // The edit the incremental mode absorbs: one added node wired to
-        // `degree` existing nodes — the "a sensor joined the deployment"
-        // case the delta path exists for.
-        std::vector<Edge> edited_edges = g.edges();
-        for (std::size_t i = 0; i < degree; ++i) {
-            edited_edges.push_back(
-                Edge{static_cast<NodeId>((i * 97) % n), static_cast<NodeId>(n)});
-        }
-        const Graph g_edited = Graph::from_edges(n + 1, edited_edges);
-
         const Codebook base(g, params);
-        const Codebook fresh_edited(g_edited, params);
         const std::string file_path = scratch_dir + "/e18-n" + std::to_string(n) + ".nbc";
         save_codebook(base, file_path);
 
         ModeRow row;
         row.n = n;
         row.fresh_ms = median_ms(reps, [&] { Codebook fresh(g, params); });
-        row.incremental_ms =
-            median_ms(reps, [&] { Codebook delta(g_edited, params, base); });
-        row.incremental_fresh_ms =
-            median_ms(reps, [&] { Codebook fresh(g_edited, params); });
         row.mmap_load_ms = median_ms(reps, [&] {
             auto file = CodebookFile::map(file_path);
             if (file == nullptr) {
@@ -111,18 +90,13 @@ int main() {
             Codebook loaded(g, params, std::move(file));
         });
 
-        // The property contract, checked on the instances reported on.
-        const Codebook delta(g_edited, params, base);
+        // The property contract, checked on the instance reported on.
         const Codebook loaded(g, params, CodebookFile::map(file_path));
-        row.rows_reused = delta.stats().dictionary_rows_reused;
-        row.identical = delta.fingerprint() == fresh_edited.fingerprint() &&
-                        loaded.fingerprint() == base.fingerprint();
+        row.identical = loaded.fingerprint() == base.fingerprint();
         rows.push_back(row);
 
         table.add_row({Table::num(n), Table::num(row.fresh_ms, 2),
-                       Table::num(row.incremental_ms, 2),
-                       Table::num(row.incremental_fresh_ms, 2),
-                       Table::num(row.mmap_load_ms, 3), Table::num(row.rows_reused),
+                       Table::num(row.mmap_load_ms, 3),
                        Table::num(row.fresh_ms / std::max(row.mmap_load_ms, 1e-6), 1) + "x",
                        row.identical ? "yes" : "NO"});
     }
@@ -156,10 +130,7 @@ int main() {
             json.begin_object();
             json.kv("n", static_cast<std::uint64_t>(row.n));
             json.kv("fresh_ms", row.fresh_ms);
-            json.kv("incremental_ms", row.incremental_ms);
-            json.kv("incremental_fresh_ms", row.incremental_fresh_ms);
             json.kv("mmap_load_ms", row.mmap_load_ms);
-            json.kv("rows_reused", static_cast<std::uint64_t>(row.rows_reused));
             json.kv("identical", row.identical);
             json.end_object();
         }
@@ -175,10 +146,10 @@ int main() {
     });
 
     bench::verdict(all_identical && warm.builds == 0 && warm.disk_loads == 1
-                       ? "all modes fingerprint-identical to fresh builds; mmap load "
-                         "skips construction entirely and the warm-start cache "
-                         "restarts with zero builds"
-                       : "MODE MISMATCH — a non-fresh build mode diverged from the "
-                         "fresh fingerprint or the warm start rebuilt");
+                       ? "mmap loads are fingerprint-identical to fresh builds and "
+                         "skip construction entirely; the warm-start cache restarts "
+                         "with zero builds"
+                       : "MODE MISMATCH — an mmap load diverged from the fresh "
+                         "fingerprint or the warm start rebuilt");
     return 0;
 }

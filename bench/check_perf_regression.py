@@ -17,24 +17,25 @@ Configurations present in only one of the two files (e.g. no AVX-512 on the
 runner) are skipped with a note. Steady-state allocation counts are an exact
 gate: the zero-copy contract does not degrade gracefully.
 
-A second, self-contained mode gates the sharded transport's scaling claim:
-`--shard BENCH_shard.json` checks that batched throughput at 4 shards is at
-least --shard-speedup (default 2.0) times the 1-shard rate. That ratio only
-means anything when the machine can actually run 4 workers, so the gate
-applies the threshold when the recorded hardware_concurrency is >= 4 and
-otherwise just sanity-checks that every rate is positive — same-machine
-self-comparison, so no baseline file and no normalization anchor needed.
+A second, self-contained mode gates the transport's thread-scaling claim:
+`--scaling BENCH_scaling.json` checks that batched throughput at 4 threads
+is at least --scaling-speedup (default 2.0) times the 1-thread rate. That
+ratio only means anything when the machine can actually run 4 workers, so
+the gate applies the threshold when the recorded hardware_concurrency is
+>= 4 and otherwise just sanity-checks that every rate is positive —
+same-machine self-comparison, so no baseline file and no normalization
+anchor needed.
 
 A third self-contained mode gates the serialized-codebook claim:
 `--codebook BENCH_codebook.json` checks that at n >= 4096 the mmap load is
 at least --codebook-speedup (default 5.0) times faster than a fresh build,
 that every mode stayed fingerprint-identical to fresh, and that the bench's
-simulated restart recorded zero builds. Like --shard this is a same-machine
+simulated restart recorded zero builds. Like --scaling this is a same-machine
 self-comparison (a ratio of two timings from one run), so it needs no
 baseline and no normalization anchor.
 
 Usage: check_perf_regression.py CURRENT BASELINE [--threshold 0.30]
-       check_perf_regression.py --shard BENCH_shard.json [--shard-speedup 2.0]
+       check_perf_regression.py --scaling BENCH_scaling.json [--scaling-speedup 2.0]
        check_perf_regression.py --codebook BENCH_codebook.json [--codebook-speedup 5.0]
 Exit status 0 = pass, 1 = regression or malformed input.
 """
@@ -88,9 +89,9 @@ def reference_rate(results, path):
     return rate
 
 
-def check_shard_scaling(path, min_speedup):
-    """The BENCH_shard.json gate: 4-shard batched throughput >= min_speedup
-    times the 1-shard rate, enforced only where 4 workers can actually run
+def check_thread_scaling(path, min_speedup):
+    """The BENCH_scaling.json gate: 4-thread batched throughput >= min_speedup
+    times the 1-thread rate, enforced only where 4 workers can actually run
     in parallel."""
     doc = load_doc(path)
     rates = {}
@@ -98,29 +99,29 @@ def check_shard_scaling(path, min_speedup):
         rate = float(row["batched_rounds_per_s"])
         if rate <= 0:
             print(f"check_perf_regression: {path}: non-positive rate at "
-                  f"shards={row['shards']}", file=sys.stderr)
+                  f"threads={row['threads']}", file=sys.stderr)
             return 1
-        rates[int(row["shards"])] = rate
-    for shards in (1, 4):
-        if shards not in rates:
-            print(f"check_perf_regression: {path}: missing shards={shards} row",
+        rates[int(row["threads"])] = rate
+    for threads in (1, 4):
+        if threads not in rates:
+            print(f"check_perf_regression: {path}: missing threads={threads} row",
                   file=sys.stderr)
             return 1
 
     cores = int(doc.get("hardware_concurrency", 0))
     speedup = rates[4] / rates[1]
-    for shards in sorted(rates):
-        print(f"  shards={shards} batched {rates[shards]:10.2f} rounds/s "
-              f"({rates[shards] / rates[1]:.2f}x vs 1 shard)")
+    for threads in sorted(rates):
+        print(f"  threads={threads} batched {rates[threads]:10.2f} rounds/s "
+              f"({rates[threads] / rates[1]:.2f}x vs 1 thread)")
     if cores < 4:
         print(f"check_perf_regression: hardware_concurrency={cores} < 4; "
               f"scaling threshold not applicable, rates sane")
         return 0
     if speedup < min_speedup:
-        print(f"check_perf_regression: 1->4 shard speedup {speedup:.2f}x "
+        print(f"check_perf_regression: 1->4 thread speedup {speedup:.2f}x "
               f"below required {min_speedup:.2f}x", file=sys.stderr)
         return 1
-    print(f"check_perf_regression: 1->4 shard speedup {speedup:.2f}x "
+    print(f"check_perf_regression: 1->4 thread speedup {speedup:.2f}x "
           f"(required {min_speedup:.2f}x)")
     return 0
 
@@ -186,11 +187,11 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.30,
                         help="allowed fractional drop in normalized batched "
                              "rounds/s (default 0.30)")
-    parser.add_argument("--shard", metavar="BENCH_shard.json",
-                        help="gate sharded-transport scaling instead of the "
+    parser.add_argument("--scaling", metavar="BENCH_scaling.json",
+                        help="gate transport thread scaling instead of the "
                              "transport baseline comparison")
-    parser.add_argument("--shard-speedup", type=float, default=2.0,
-                        help="required 1->4 shard throughput ratio when the "
+    parser.add_argument("--scaling-speedup", type=float, default=2.0,
+                        help="required 1->4 thread throughput ratio when the "
                              "machine has >= 4 cores (default 2.0)")
     parser.add_argument("--codebook", metavar="BENCH_codebook.json",
                         help="gate serialized-codebook load speedup and "
@@ -201,9 +202,9 @@ def main():
                              "n >= 4096 (default 5.0)")
     args = parser.parse_args()
 
-    if args.shard is not None:
+    if args.scaling is not None:
         try:
-            return check_shard_scaling(args.shard, args.shard_speedup)
+            return check_thread_scaling(args.scaling, args.scaling_speedup)
         except (OSError, KeyError, ValueError) as err:
             print(f"check_perf_regression: {err}", file=sys.stderr)
             return 1
@@ -214,7 +215,8 @@ def main():
             print(f"check_perf_regression: {err}", file=sys.stderr)
             return 1
     if args.current is None or args.baseline is None:
-        parser.error("CURRENT and BASELINE are required without --shard")
+        parser.error("CURRENT and BASELINE are required without --scaling "
+                     "or --codebook")
 
     try:
         current_doc = load_doc(args.current)

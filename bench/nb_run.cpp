@@ -23,10 +23,6 @@
 //   nb_run --workers N        sweep worker threads (0 = hardware)
 //   nb_run --seeds 1,2,3      workload-seed axis (default 1,2,3)
 //   nb_run --eps 0.05,0.1     optional iid noise-rate axis
-//   nb_run --shards N         run beep scenarios through the sharded
-//                             transport with N shards (both modes; results
-//                             are bit-identical for any value, and a
-//                             resumed sweep may change it freely)
 //   nb_run --max-retries N    extra attempts per job after a transient or
 //                             timeout failure (default 0)
 //   nb_run --timeout SECONDS  watchdog deadline (0 = none): per job with
@@ -222,8 +218,6 @@ int run_main(int argc, char** argv) {
     bool journal_overridden = false;
     std::size_t max_retries_flag = 0;
     bool max_retries_set = false;
-    std::size_t shards_flag = 0;
-    bool shards_set = false;
     std::vector<std::uint64_t> seeds = {1, 2, 3};
     std::vector<double> epsilons;
     for (int i = 1; i < argc; ++i) {
@@ -271,18 +265,6 @@ int run_main(int argc, char** argv) {
             epsilons = parse_list<double>(
                 flag_value("--eps"), "--eps",
                 [](const char* s, char** end) { return std::strtod(s, end); });
-        } else if (arg == "--shards") {
-            // Valid in both modes: an execution knob like threads, applied
-            // to every spec (or sweep base) that runs. Results are
-            // bit-identical for any value, so it never invalidates a
-            // journal (spec fingerprints exclude it) and a resumed sweep
-            // may change it freely.
-            shards_flag = flag_number("--shards");
-            shards_set = true;
-            if (shards_flag == 0) {
-                std::cerr << "error: --shards expects a positive shard count\n";
-                return 2;
-            }
         } else if (arg == "--max-retries") {
             sweep_only_flag = "--max-retries";
             // Applied to the spec after it is assembled: retries are a
@@ -312,8 +294,8 @@ int run_main(int argc, char** argv) {
             sweep_only_flag = "--resume";
             sweep_options.resume = true;
         } else if (arg == "--codebook-dir") {
-            // Valid in both modes: an execution knob like --shards — results
-            // are bit-identical with or without it (the format pins the
+            // Valid in both modes: an execution knob — results are
+            // bit-identical with or without it (the format pins the
             // builder's fingerprint), only the build cost moves.
             codebook_dir = flag_value("--codebook-dir");
         } else if (arg == "--codebook-stats") {
@@ -322,9 +304,9 @@ int run_main(int argc, char** argv) {
             std::cout
                 << "usage: nb_run [--list] [--json PATH] [--sweep] [--spec FILE]\n"
                    "              [--workers N] [--seeds 1,2,3] [--eps 0.05,0.1]\n"
-                   "              [--shards N] [--max-retries N] [--timeout SECONDS]\n"
-                   "              [--journal PATH] [--resume] [--codebook-dir DIR]\n"
-                   "              [--codebook-stats FILE] [scenario ...]\n";
+                   "              [--max-retries N] [--timeout SECONDS] [--journal PATH]\n"
+                   "              [--resume] [--codebook-dir DIR] [--codebook-stats FILE]\n"
+                   "              [scenario ...]\n";
             return 0;
         } else if (!arg.empty() && arg.front() == '-') {
             std::cerr << "error: unknown option " << arg << " (try --help)\n";
@@ -398,11 +380,6 @@ int run_main(int argc, char** argv) {
         if (max_retries_set) {
             sweep.max_retries = max_retries_flag;
         }
-        if (shards_set) {
-            for (auto& base : sweep.bases) {
-                base.shards = shards_flag;
-            }
-        }
         if (!journal_overridden) {
             // Checkpointing is on by default: a killed sweep resumes with
             // --resume, and a completed run leaves the journal beside its
@@ -424,10 +401,7 @@ int run_main(int argc, char** argv) {
     results.reserve(specs.size());
     Table table({"scenario", "transport", "channel", "n", "Delta", "rounds", "perfect",
                  "beeps/round", "p1 FN", "p1 FP", "p2 err", "rounds/s"});
-    for (auto& spec : specs) {
-        if (shards_set) {
-            spec.shards = shards_flag;
-        }
+    for (const auto& spec : specs) {
         ScenarioResult result;
         try {
             result = run_scenario_with_timeout(spec, sweep_options.job_timeout_seconds);

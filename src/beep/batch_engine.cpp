@@ -14,14 +14,6 @@ BatchEngine::BatchEngine(const Graph& graph, BatchParams params, Rng rng)
             "BatchEngine: only the paper convention (noise_on_own_beep) is supported");
 }
 
-BatchEngine::BatchEngine(const Graph& graph, BatchParams params, Rng rng,
-                         std::span<const std::uint32_t> global_ids)
-    : BatchEngine(graph, std::move(params), rng) {
-    require(global_ids.size() == graph_.node_count(),
-            "BatchEngine: one global id per local node required");
-    global_ids_ = global_ids;
-}
-
 Bitstring BatchEngine::superimpose(NodeId node, const std::vector<Bitstring>& schedules,
                                    bool include_own) const {
     Bitstring heard;
@@ -59,10 +51,8 @@ void BatchEngine::hear_into(NodeId node, const std::vector<Bitstring>& schedules
     if (!params_.channel.noiseless()) {
         // The sampler consumes the same derived per-node stream the
         // original iid path did, so iid outputs are bit-identical and every
-        // node's noise stays independent of evaluation order. Sharded
-        // engines key the stream (and the per-node channel) by global id.
-        const NodeId id = global_ids_.empty() ? node : global_ids_[node];
-        ChannelNoiseSampler noise(params_.channel, id, rng_.derive(0x6e6f6973u, id));
+        // node's noise stays independent of evaluation order.
+        ChannelNoiseSampler noise(params_.channel, node, rng_.derive(0x6e6f6973u, node));
         noise.apply(out, params_.dense_noise);
     }
 }

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "beep/channel_model.h"
@@ -41,16 +40,6 @@ class BatchEngine {
 public:
     /// The graph must outlive the engine. `rng` seeds per-node noise streams.
     BatchEngine(const Graph& graph, BatchParams params, Rng rng);
-
-    /// Engine over a shard's local graph whose noise streams key by *global*
-    /// node id: `global_ids[v]` is local node v's id in the full simulation
-    /// (graph/partition.h). Both the stream derivation and the sampler's
-    /// node argument (heterogeneous channels key epsilon_v by id) use the
-    /// global id, so a local hear_into() is bit-identical to the unsharded
-    /// engine's for the same node. The span must outlive the engine and
-    /// cover every local node.
-    BatchEngine(const Graph& graph, BatchParams params, Rng rng,
-                std::span<const std::uint32_t> global_ids);
 
     /// Transcript heard by `node` when every node u beeps according to
     /// schedules[u] (all schedules must share one length). Only this node's
@@ -93,7 +82,6 @@ private:
     const Graph& graph_;
     BatchParams params_;
     Rng rng_;
-    std::span<const std::uint32_t> global_ids_;  ///< empty = identity mapping
 };
 
 }  // namespace nb

@@ -164,14 +164,11 @@ const std::vector<ScenarioSpec>& demo_scenarios() {
     static const std::vector<ScenarioSpec> specs = [] {
         std::vector<ScenarioSpec> all;
         // Ring topologies keep the scale demos honest but cheap: max degree 2
-        // means the beep-code length stays small while n drives the work, and
-        // the shard halos are two nodes per boundary, so almost all of the
-        // round is interior decode — the regime sharding is built for.
+        // means the beep-code length stays small while n drives the work.
         {
             ScenarioSpec spec;
-            spec.name = "demo-shard-100k";
-            spec.description = "sharded-transport scale demo: ring n=10^5, "
-                               "8 shards, 2 rounds";
+            spec.name = "demo-ring-100k";
+            spec.description = "scale demo: ring n=10^5, 2 rounds";
             spec.topology.family = TopologySpec::Family::ring;
             spec.topology.n = 100000;
             spec.channel = ChannelModel::iid(0.05);
@@ -180,14 +177,12 @@ const std::vector<ScenarioSpec>& demo_scenarios() {
             spec.rounds = 2;
             spec.c_eps = 4;
             spec.decoy_count = 8;
-            spec.shards = 8;
             all.push_back(std::move(spec));
         }
         {
             ScenarioSpec spec;
-            spec.name = "demo-shard-1m";
-            spec.description = "sharded-transport scale demo: ring n=10^6, "
-                               "16 shards, 1 round";
+            spec.name = "demo-ring-1m";
+            spec.description = "scale demo: ring n=10^6, 1 round";
             spec.topology.family = TopologySpec::Family::ring;
             spec.topology.n = 1000000;
             spec.channel = ChannelModel::iid(0.05);
@@ -196,7 +191,6 @@ const std::vector<ScenarioSpec>& demo_scenarios() {
             spec.rounds = 1;
             spec.c_eps = 4;
             spec.decoy_count = 8;
-            spec.shards = 16;
             all.push_back(std::move(spec));
         }
         return all;

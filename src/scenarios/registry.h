@@ -31,11 +31,11 @@ ScenarioSpec e11_noise_point(double epsilon, std::size_t c_eps);
 /// scenario. Names are unique.
 const std::vector<ScenarioSpec>& shipped_scenarios();
 
-/// Large-n sharded-transport demos: ring topologies at n = 10^5 and 10^6
-/// run through ShardedTransport (the CI scale smoke executes the latter).
+/// Large-n scale demos: ring topologies at n = 10^5 and 10^6 (the CI scale
+/// smoke executes the latter).
 /// Deliberately not part of shipped_scenarios(): the shipped sweep's job
 /// count and runtime are pinned by tests and CI budgets. find_scenario()
-/// resolves them, so `nb_run demo-shard-100k` works like any shipped name.
+/// resolves them, so `nb_run demo-ring-100k` works like any shipped name.
 const std::vector<ScenarioSpec>& demo_scenarios();
 
 /// The shipped or demo spec with this name, or nullptr.

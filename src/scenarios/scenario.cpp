@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "graph/generators.h"
-#include "sim/sharded_transport.h"
 
 namespace nb {
 
@@ -163,7 +162,6 @@ TdmaParams ScenarioSpec::tdma_params(std::size_t node_count) const {
 void ScenarioSpec::validate() const {
     require(!name.empty(), "ScenarioSpec: name must not be empty");
     require(rounds >= 1, "ScenarioSpec: at least one round required");
-    require(shards >= 1, "ScenarioSpec: at least one shard required");
     channel.validate();
     for (const auto& window : faults) {
         require(window.first_round <= window.last_round,
@@ -202,12 +200,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
     std::unique_ptr<Transport> transport;
     if (spec.transport == TransportKind::beep) {
-        if (spec.shards > 1) {
-            transport = std::make_unique<ShardedTransport>(graph, spec.sim_params(),
-                                                           spec.shards);
-        } else {
-            transport = std::make_unique<BeepTransport>(graph, spec.sim_params());
-        }
+        transport = std::make_unique<BeepTransport>(graph, spec.sim_params());
     } else {
         transport = std::make_unique<TdmaTransport>(graph, spec.tdma_params(graph.node_count()));
     }
@@ -337,9 +330,9 @@ std::uint64_t scenario_spec_fingerprint(const ScenarioSpec& spec) {
     mix(spec.decoy_count);
     mix(spec.bitslice_min_candidates);
     mix(spec.tdma_repetitions);
-    // spec.threads and spec.shards deliberately not mixed: execution knobs,
-    // not inputs — outputs are bit-identical for every value, so a resumed
-    // sweep may change either and still replay its journal.
+    // spec.threads deliberately not mixed: an execution knob, not an input —
+    // outputs are bit-identical for every value, so a resumed sweep may
+    // change it and still replay its journal.
     return h;
 }
 

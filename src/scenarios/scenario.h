@@ -112,12 +112,6 @@ struct ScenarioSpec {
     DictionaryPolicy dictionary = DictionaryPolicy::two_hop;
     std::size_t decoy_count = 32;
     std::size_t threads = 0;
-
-    /// Transport partitioning (sharded_transport.h): > 1 runs the beep
-    /// transport through ShardedTransport with this many shards. Like
-    /// `threads`, an execution knob — outputs are bit-identical for every
-    /// value, so it is excluded from the fingerprint and the result JSON.
-    std::size_t shards = 1;
     std::size_t bitslice_min_candidates = 512;
     std::size_t tdma_repetitions = 0;  ///< 0 = recommended_repetitions(n, eps)
 

@@ -244,8 +244,8 @@ ScenarioSpec parse_scenario(const Cursor& cursor) {
     reject_unknown_keys(cursor,
                         {"name", "description", "topology", "channel", "transport",
                          "workload", "faults", "rounds", "decoder_epsilon", "c_eps",
-                         "dictionary", "decoy_count", "threads", "shards",
-                         "bitslice_min_candidates", "tdma_repetitions"});
+                         "dictionary", "decoy_count", "threads", "bitslice_min_candidates",
+                         "tdma_repetitions"});
     ScenarioSpec spec;
     const JsonValue* name = cursor.value.find("name");
     if (name == nullptr) {
@@ -305,7 +305,6 @@ ScenarioSpec parse_scenario(const Cursor& cursor) {
     }
     opt_size(cursor, "decoy_count", spec.decoy_count);
     opt_size(cursor, "threads", spec.threads);
-    opt_size(cursor, "shards", spec.shards);
     opt_size(cursor, "bitslice_min_candidates", spec.bitslice_min_candidates);
     opt_size(cursor, "tdma_repetitions", spec.tdma_repetitions);
     return spec;
@@ -314,7 +313,7 @@ ScenarioSpec parse_scenario(const Cursor& cursor) {
 SweepAxes parse_axes(const Cursor& cursor) {
     expect_object(cursor);
     reject_unknown_keys(cursor, {"topologies", "node_counts", "channels", "epsilons",
-                                 "seeds", "shard_counts"});
+                                 "seeds"});
     SweepAxes axes;
     if (const JsonValue* v = cursor.value.find("topologies")) {
         const Cursor c = cursor.child(*v, "topologies");
@@ -353,15 +352,6 @@ SweepAxes parse_axes(const Cursor& cursor) {
         for (std::size_t i = 0; i < v->items().size(); ++i) {
             const Cursor e = c.element(v->items()[i], i);
             axes.seeds.push_back(at(e, [&] { return e.value.as_uint64(); }));
-        }
-    }
-    if (const JsonValue* v = cursor.value.find("shard_counts")) {
-        const Cursor c = cursor.child(*v, "shard_counts");
-        expect_array(c);
-        for (std::size_t i = 0; i < v->items().size(); ++i) {
-            const Cursor e = c.element(v->items()[i], i);
-            axes.shard_counts.push_back(
-                static_cast<std::size_t>(at(e, [&] { return e.value.as_uint64(); })));
         }
     }
     return axes;

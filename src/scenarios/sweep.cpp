@@ -18,8 +18,7 @@ namespace nb {
 std::size_t SweepSpec::job_count() const noexcept {
     auto axis = [](std::size_t size) { return size == 0 ? 1 : size; };
     return bases.size() * axis(axes.topologies.size()) * axis(axes.node_counts.size()) *
-           axis(axes.channels.size()) * axis(axes.epsilons.size()) * axis(axes.seeds.size()) *
-           axis(axes.shard_counts.size());
+           axis(axes.channels.size()) * axis(axes.epsilons.size()) * axis(axes.seeds.size());
 }
 
 std::vector<ScenarioSpec> SweepSpec::expand() const {
@@ -35,7 +34,6 @@ std::vector<ScenarioSpec> SweepSpec::expand() const {
                 for (std::size_t c = 0; c < extent(axes.channels.size()); ++c) {
                     for (std::size_t e = 0; e < extent(axes.epsilons.size()); ++e) {
                         for (std::size_t s = 0; s < extent(axes.seeds.size()); ++s) {
-                          for (std::size_t k = 0; k < extent(axes.shard_counts.size()); ++k) {
                             ScenarioSpec job = base;
                             if (!axes.topologies.empty()) {
                                 job.topology = axes.topologies[t];
@@ -60,13 +58,7 @@ std::vector<ScenarioSpec> SweepSpec::expand() const {
                                 job.workload.seed = axes.seeds[s];
                                 job.name += "/seed=" + std::to_string(axes.seeds[s]);
                             }
-                            if (!axes.shard_counts.empty()) {
-                                job.shards = axes.shard_counts[k];
-                                job.name +=
-                                    "/shards=" + std::to_string(axes.shard_counts[k]);
-                            }
                             jobs.push_back(std::move(job));
-                          }
                         }
                     }
                 }
@@ -143,11 +135,7 @@ std::uint64_t topology_digest(const TopologySpec& topology) {
 /// its codebook once, through the cache when shared_codebook is on), one
 /// coloring per tdma job; a never-seen key is a build, a repeat is a hit —
 /// exactly what a clean run on an empty cache with no eviction pressure
-/// performs, and a pure function of the job list. Deliberately blind to
-/// ScenarioSpec::shards: a sharded run acquires per-shard keys instead of
-/// the one global key, but shards is an execution knob and the canonical
-/// artifact must be byte-identical whether a job runs sharded or not, so
-/// the model keeps the unsharded single-key view.
+/// performs, and a pure function of the job list.
 SweepCacheAnalysis analyze_cache_cold(const std::vector<ScenarioSpec>& jobs) {
     SweepCacheAnalysis analysis;
     std::unordered_map<std::uint64_t, Graph> graphs;

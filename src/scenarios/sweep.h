@@ -52,7 +52,7 @@ namespace nb {
 
 /// The sweep axes. An empty axis keeps the base spec's value; a non-empty
 /// one overrides it with each listed value in turn. Nesting order (outermost
-/// first): base, topology, n, channel, epsilon, seed, shards.
+/// first): base, topology, n, channel, epsilon, seed.
 struct SweepAxes {
     /// Replaces the whole TopologySpec.
     std::vector<TopologySpec> topologies;
@@ -73,12 +73,6 @@ struct SweepAxes {
 
     /// Overrides workload.seed (fresh per-node messages per seed).
     std::vector<std::uint64_t> seeds;
-
-    /// Overrides ScenarioSpec::shards (the sharded-transport partition
-    /// count). An execution knob — every value produces bit-identical
-    /// results — so this axis exists for throughput comparisons; the
-    /// analytic cache block deliberately ignores it.
-    std::vector<std::size_t> shard_counts;
 };
 
 struct SweepSpec {

@@ -68,9 +68,8 @@ void make_payload_into(const std::optional<Bitstring>& message, std::size_t mess
     }
 }
 
-std::shared_ptr<const CombinedCode> make_combined(const SimulationParams& params,
-                                                  std::size_t max_degree) {
-    return std::make_shared<const CombinedCode>(
+CombinedCode make_combined(const SimulationParams& params, std::size_t max_degree) {
+    return CombinedCode(
         BeepCode(params.beep_code_length(max_degree), params.distance_code_length(),
                  params.code_seed),
         DistanceCode(params.payload_bits(), params.distance_code_length(),
@@ -108,101 +107,23 @@ void append_two_hop_set(const Graph& graph, NodeId v, std::vector<std::uint32_t>
 
 }  // namespace
 
-std::uint64_t Codebook::ShardView::digest() const {
-    std::uint64_t h = 0x73686172645f7677ULL;
-    auto mix = [&h](std::uint64_t value) { h = mix64(h ^ value); };
-    mix(global_node_count);
-    mix(global_max_degree);
-    mix(owned_begin);
-    mix(owned_count);
-    mix(global_ids.size());
-    for (const auto id : global_ids) {
-        mix(id);
-    }
-    return h;
-}
-
-bool Codebook::same_codebook_params(const SimulationParams& a, const SimulationParams& b) {
-    return a.message_bits == b.message_bits && a.c_eps == b.c_eps &&
-           a.code_seed == b.code_seed && a.transport_seed == b.transport_seed &&
-           a.decoy_count == b.decoy_count &&
-           a.bitslice_min_candidates == b.bitslice_min_candidates &&
-           a.dictionary == b.dictionary;
-}
-
 Codebook::Codebook(const Graph& graph, const SimulationParams& params)
-    : Codebook(graph, params, std::nullopt, nullptr) {}
-
-Codebook::Codebook(const Graph& graph, const SimulationParams& params, ShardView view)
-    : Codebook(graph, params, std::optional<ShardView>(std::move(view)), nullptr) {}
+    : Codebook(graph, params, nullptr) {}
 
 Codebook::Codebook(const Graph& graph, const SimulationParams& params,
                    std::shared_ptr<const CodebookFile> file)
-    : Codebook(graph, params, std::nullopt, std::move(file)) {}
-
-Codebook::Codebook(const Graph& graph, const SimulationParams& params, ShardView view,
-                   std::shared_ptr<const CodebookFile> file)
-    : Codebook(graph, params, std::optional<ShardView>(std::move(view)), std::move(file)) {}
-
-Codebook::Codebook(const Graph& graph, const SimulationParams& params,
-                   std::optional<ShardView> view, std::shared_ptr<const CodebookFile> file)
     : graph_(graph),
       params_(params),
-      view_(std::move(view)),
-      combined_(make_combined(params,
-                              view_.has_value()
-                                  ? static_cast<std::size_t>(view_->global_max_degree)
-                                  : graph.max_degree())),
+      combined_(make_combined(params, graph.max_degree())),
       file_(std::move(file)) {
     fp_codebook_build.check();
     params_.validate();
-    if (view_.has_value()) {
-        require(params_.dictionary == DictionaryPolicy::two_hop,
-                "Codebook: shard views require the two_hop dictionary");
-        require(view_->global_ids.size() == graph_.node_count(),
-                "Codebook: shard view must map every local node");
-        require(view_->owned_begin + view_->owned_count <= graph_.node_count(),
-                "Codebook: shard view owned range out of bounds");
-    }
     stats_.code_builds = 1;
     if (file_ != nullptr) {
         adopt_candidate_index();
     } else {
         build_candidate_index();
     }
-}
-
-Codebook::Codebook(const Graph& graph, const SimulationParams& params, const Codebook& base)
-    : graph_(graph), params_(params) {
-    fp_codebook_build.check();
-    params_.validate();
-    require(base.shard_view() == nullptr, "Codebook: delta builds require an unsharded base");
-    require(same_codebook_params(params_, base.params_),
-            "Codebook: delta builds require codebook-identical params "
-            "(message_bits, c_eps, seeds, decoy_count, bitslice threshold, dictionary)");
-
-    // The beep-code length depends on the max degree, not on n, so nearby
-    // graph sizes share one code triple — and with it the base's cached
-    // round as a same-nonce donor (every donor-copied value is derived from
-    // the shared seeds, see build_round).
-    if (params_.beep_code_length(graph_.max_degree()) == base.combined_->length()) {
-        combined_ = base.combined_;
-        std::lock_guard<std::mutex> lock(base.mutex_);
-        donor_round_ = base.cached_;
-    } else {
-        combined_ = make_combined(params_, graph_.max_degree());
-        stats_.code_builds = 1;
-    }
-
-    if (graph_.node_count() < base.graph_.node_count()) {
-        // Shrinking renumbers the entry space under every surviving row
-        // (tail ids shift down through the node block); model removal as
-        // isolating the node instead to stay on the delta path.
-        ++stats_.delta_full_rebuilds;
-        build_candidate_index();
-        return;
-    }
-    build_candidate_index_delta(base);
 }
 
 void Codebook::build_candidate_index() {
@@ -231,75 +152,6 @@ void Codebook::build_candidate_index() {
     entries_ = owned_entries_;
 }
 
-void Codebook::build_candidate_index_delta(const Codebook& base) {
-    const std::size_t n = graph_.node_count();
-    const std::size_t base_n = base.graph_.node_count();  // <= n on this path
-    const std::vector<std::uint32_t> tail = make_tail(n, params_.decoy_count);
-
-    if (params_.dictionary != DictionaryPolicy::two_hop) {
-        // The shared all-nodes row is O(n) to begin with — rebuilding it IS
-        // the delta.
-        build_candidate_index();
-        ++stats_.dictionary_rows_built;
-        return;
-    }
-
-    // S: nodes whose own adjacency differs (appended nodes included). An
-    // undirected edge edit changes both endpoints' neighbor lists, so S is
-    // closed under edits; the rows that can see an edit through an unchanged
-    // list are exactly S's neighbors on either side of it.
-    std::vector<char> dirty(n, 0);
-    std::vector<NodeId> changed;
-    for (NodeId v = 0; v < n; ++v) {
-        if (v >= base_n) {
-            changed.push_back(v);
-            dirty[v] = 1;
-            continue;
-        }
-        const auto now = graph_.neighbors(v);
-        const auto before = base.graph_.neighbors(v);
-        if (now.size() != before.size() ||
-            !std::equal(now.begin(), now.end(), before.begin())) {
-            changed.push_back(v);
-            dirty[v] = 1;
-        }
-    }
-    for (const NodeId v : changed) {
-        for (const auto u : graph_.neighbors(v)) {
-            dirty[u] = 1;
-        }
-        if (v < base_n) {
-            for (const auto u : base.graph_.neighbors(v)) {
-                dirty[u] = 1;
-            }
-        }
-    }
-
-    // Clean rows: the two-hop set is unchanged, so copy the node-id prefix
-    // verbatim and re-emit the tail (whose ids depend on n). Dirty rows are
-    // recomputed from the new adjacency.
-    const std::size_t tail_size = tail.size();  // equal params => equal base tail size
-    owned_offsets_.clear();
-    owned_entries_.clear();
-    owned_offsets_.reserve(n + 1);
-    owned_offsets_.push_back(0);
-    for (NodeId v = 0; v < n; ++v) {
-        if (dirty[v] == 0) {
-            const auto row = base.candidate_row(v);
-            const auto prefix = row.first(row.size() - tail_size);
-            owned_entries_.insert(owned_entries_.end(), prefix.begin(), prefix.end());
-            ++stats_.dictionary_rows_reused;
-        } else {
-            append_two_hop_set(graph_, v, owned_entries_);
-            ++stats_.dictionary_rows_built;
-        }
-        owned_entries_.insert(owned_entries_.end(), tail.begin(), tail.end());
-        owned_offsets_.push_back(owned_entries_.size());
-    }
-    offsets_ = owned_offsets_;
-    entries_ = owned_entries_;
-}
-
 void Codebook::adopt_candidate_index() {
     const auto& header = file_->header();
     const std::size_t n = graph_.node_count();
@@ -312,13 +164,10 @@ void Codebook::adopt_candidate_index() {
                 header.decoy_count == params_.decoy_count &&
                 header.bitslice_min_candidates == params_.bitslice_min_candidates,
             "Codebook: codebook file params mismatch");
-    const std::uint64_t shard_digest = view_.has_value() ? view_->digest() : 0;
-    require(header.shard_digest == shard_digest,
-            "Codebook: codebook file shard view mismatch");
-    const std::size_t max_degree = view_.has_value()
-                                       ? static_cast<std::size_t>(view_->global_max_degree)
-                                       : graph_.max_degree();
-    require(header.max_degree == max_degree, "Codebook: codebook file max degree mismatch");
+    // shard_digest is a retired identity field, always written as 0.
+    require(header.shard_digest == 0, "Codebook: codebook file shard digest mismatch");
+    require(header.max_degree == graph_.max_degree(),
+            "Codebook: codebook file max degree mismatch");
     // The digest pair is the same 128-bit identity the CodebookCache keys
     // on: a file written for a different adjacency cannot adopt.
     require(header.graph_digest == CodebookCache::graph_digest(graph_) &&
@@ -334,7 +183,7 @@ std::size_t Codebook::memory_bytes() const {
     const std::size_t n = graph_.node_count();
     const std::size_t decoys = params_.decoy_count;
     const std::size_t entry_count = n + 1 + decoys;
-    const std::size_t beep_bytes = (combined_->length() + 7) / 8;
+    const std::size_t beep_bytes = (combined_.length() + 7) / 8;
     const std::size_t dist_len = params_.distance_code_length();
     const std::size_t dist_bytes = (dist_len + 7) / 8;
     const std::size_t payload_bytes = (params_.payload_bits() + 7) / 8;
@@ -354,7 +203,7 @@ std::size_t Codebook::memory_bytes() const {
     if (params_.dictionary == DictionaryPolicy::all_nodes) {
         // Bitslice matrix (beep_length planes over n+decoys columns), the
         // word-major SoA mirror of candidate_encoded, and the decode gaps.
-        bytes += combined_->length() * ((n + decoys + 63) / 64) * sizeof(std::uint64_t);
+        bytes += combined_.length() * ((n + decoys + 63) / 64) * sizeof(std::uint64_t);
         bytes += entry_count * dist_bytes;
         bytes += entry_count * sizeof(std::uint32_t);
     }
@@ -385,8 +234,8 @@ std::shared_ptr<const Codebook::Round> Codebook::round(
         // the rebuild reuses every slot's storage instead of allocating a
         // new round and freeing the old one. The ownership test cannot go
         // stale while mutex_ is held: every new reference to a round is a
-        // copy of cached_ taken under mutex_ (a hit above, `prev` below, a
-        // delta build's donor capture), so no second owner can appear.
+        // copy of cached_ taken under mutex_ (a hit above, `prev` below), so
+        // no second owner can appear.
         // Same-nonce rounds stay donors instead.
         if (cached_ != nullptr && cached_->nonce != nonce && sole_owner(cached_)) {
             recycled = std::const_pointer_cast<Round>(std::move(cached_));
@@ -394,14 +243,11 @@ std::shared_ptr<const Codebook::Round> Codebook::round(
             prev = cached_;
         }
     }
-    // A same-nonce donor lets the rebuild copy everything the message edit
-    // did not touch: the previous round of this codebook first, else the
-    // delta base's round (captured only when the code geometry matches).
+    // A same-nonce previous round is a donor: the rebuild copies everything
+    // the message edit did not touch.
     std::shared_ptr<const Round> donor;
     if (prev != nullptr && prev->nonce == nonce) {
         donor = std::move(prev);
-    } else if (donor_round_ != nullptr && donor_round_->nonce == nonce) {
-        donor = donor_round_;
     }
     // Build outside the lock: rebuilds are the expensive path and concurrent
     // callers with distinct keys must not serialize on each other. A build
@@ -435,26 +281,22 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     const std::size_t n = graph_.node_count();
     require(messages.size() == n, "Codebook: one message slot per node");
 
-    // Donor contract (round() guarantees it): same transport_seed, nonce,
-    // decoy params, and beep-code geometry. Everything copied below is a
-    // pure function of those plus the entry id — or of that entry's
-    // unchanged message — so each copy equals the value a fresh derivation
-    // would produce, bit for bit. Entries past the donor's node count are
-    // generated fresh.
+    // Donor contract (round() guarantees it): a round of this codebook under
+    // the same nonce. Everything copied below is a pure function of the
+    // seeds, the nonce and the entry id — or of that entry's unchanged
+    // message — so each copy equals the value a fresh derivation would
+    // produce, bit for bit.
     const Round* donor = donor_round.get();
-    const std::size_t donor_n = donor != nullptr ? donor->inputs.size() : 0;
     const auto donor_message_equal = [&](std::size_t v) {
-        return donor != nullptr && v < donor_n && messages[v] == donor->messages[v];
+        return donor != nullptr && messages[v] == donor->messages[v];
     };
 
     // `round` is null (build a new one) or a superseded round of this
-    // codebook being recycled: same graph and view, so every vector already
-    // has its final size. Every field below is assigned, never accumulated
-    // into, and every per-slot write goes through an _into form or a
-    // copy-assignment that reuses the slot's storage, so a recycled round
-    // ends up equal to a new one and a warm rebuild allocates next to
-    // nothing. (Halo slots of a shard view are written by no build, so they
-    // stay empty either way.)
+    // codebook being recycled: same graph, so every vector already has its
+    // final size. Every field below is assigned, never accumulated into, and
+    // every per-slot write goes through an _into form or a copy-assignment
+    // that reuses the slot's storage, so a recycled round ends up equal to a
+    // new one and a warm rebuild allocates next to nothing.
     if (round == nullptr) {
         round = std::make_shared<Round>();
     }
@@ -466,21 +308,9 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     const BeepCode& beep = beep_code();
     const DistanceCode& distance = distance_code();
 
-    // Sharded builds derive per-node state for the owned local range only
-    // (halo slots stay empty; the transport imports them from the boundary
-    // table), and always by *global* id — the derivation an unsharded build
-    // would use for the same node. (A sharded round's donor is always the
-    // previous round of the same codebook, so the ranges line up.)
-    const std::size_t owned_lo = view_.has_value() ? view_->owned_begin : 0;
-    const std::size_t owned_hi =
-        view_.has_value() ? owned_lo + view_->owned_count : n;
-    const auto global_id = [this](NodeId v) -> std::uint64_t {
-        return view_.has_value() ? view_->global_ids[v] : v;
-    };
-
     // The per-node loops below run over node blocks on the pool. Every slot
     // is sized up front and written by exactly one index, and every value is
-    // a pure function of (seed, nonce, global id, message) — never of which
+    // a pure function of (seed, nonce, node id, message) — never of which
     // worker ran it — so the round is bit-identical for any pool size.
     // Counters are tallied serially, in index order.
 
@@ -498,7 +328,7 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         round->decoy_codewords = donor->decoy_codewords;
         round->decoy_one_positions = donor->decoy_one_positions;
         for (std::size_t i = 0; i < decoys; ++i) {
-            round->candidate_messages[n + 1 + i] = donor->candidate_messages[donor_n + 1 + i];
+            round->candidate_messages[n + 1 + i] = donor->candidate_messages[n + 1 + i];
         }
         tally.codewords_reused += decoys;
     } else {
@@ -515,10 +345,9 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         tally.codewords_generated += decoys;
     }
 
-    // Per node: the cache key, the payload, and — for owned nodes — the
-    // fresh input r_v and the codeword C(r_v) with its 1-positions
-    // (functions of (nonce, id), so a same-nonce donor serves every common
-    // id).
+    // Per node: the cache key, the payload, the fresh input r_v and the
+    // codeword C(r_v) with its 1-positions (functions of (nonce, id), so a
+    // same-nonce donor serves every node).
     round->messages.resize(n);
     round->payloads.resize(n);
     round->inputs.resize(n);
@@ -532,41 +361,32 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
             } else {
                 make_payload_into(messages[v], params_.message_bits, round->payloads[v]);
             }
-            if (v < owned_lo || v >= owned_hi) {
-                continue;
-            }
-            if (donor != nullptr && v < donor_n) {
+            if (donor != nullptr) {
                 round->inputs[v] = donor->inputs[v];
                 round->codewords[v] = donor->codewords[v];
                 round->one_positions[v] = donor->one_positions[v];
             } else {
-                round->inputs[v] =
-                    round->rng.derive(0x7069636bu, global_id(static_cast<NodeId>(v)))
-                        .next_u64();
+                round->inputs[v] = round->rng.derive(0x7069636bu, v).next_u64();
                 beep.codeword_into(round->inputs[v], round->codewords[v],
                                    round->one_positions[v]);
             }
         }
     });
-    // The owned ids below donor_n were copied, the rest generated.
-    const std::size_t owned_reused =
-        std::min(owned_hi, std::max(owned_lo, donor_n)) - owned_lo;
-    tally.codewords_reused += owned_reused;
-    tally.codewords_generated += (owned_hi - owned_lo) - owned_reused;
+    if (donor != nullptr) {
+        tally.codewords_reused += n;
+    } else {
+        tally.codewords_generated += n;
+    }
 
     // Encode the dictionary once. Donor entries: a node entry is reusable
     // iff its message is unchanged; the null + decoy tail block is
-    // message-independent and maps to the donor's tail block whatever its
-    // node count.
-    const auto donor_entry = [&](std::size_t e) -> std::ptrdiff_t {
-        if (e < n) {
-            return donor_message_equal(e) ? static_cast<std::ptrdiff_t>(e) : -1;
-        }
-        return donor != nullptr ? static_cast<std::ptrdiff_t>(donor_n + (e - n)) : -1;
+    // message-independent.
+    const auto donor_entry = [&](std::size_t e) {
+        return e < n ? donor_message_equal(e) : donor != nullptr;
     };
     std::size_t regenerated = 0;
     for (std::size_t e = 0; e < entry_count; ++e) {
-        regenerated += donor_entry(e) < 0 ? 1 : 0;
+        regenerated += donor_entry(e) ? 0 : 1;
     }
     tally.encodes_generated += regenerated;
     tally.encodes_reused += entry_count - regenerated;
@@ -577,11 +397,9 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
             if (e < n) {
                 round->candidate_messages[e] = round->payloads[e];
             }
-            const std::ptrdiff_t d = donor_entry(e);
-            if (d >= 0) {
-                round->candidate_encoded[e] =
-                    donor->candidate_encoded[static_cast<std::size_t>(d)];
-                round->candidate_tails[e] = donor->candidate_tails[static_cast<std::size_t>(d)];
+            if (donor_entry(e)) {
+                round->candidate_encoded[e] = donor->candidate_encoded[e];
+                round->candidate_tails[e] = donor->candidate_tails[e];
             } else {
                 const Bitstring& candidate = round->candidate_messages[e];
                 distance.encode_into(candidate, round->candidate_encoded[e]);
@@ -600,7 +418,7 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     // decoy rows each round.
     const bool all_nodes = params_.dictionary == DictionaryPolicy::all_nodes;
     if (all_nodes && n + decoys >= params_.bitslice_min_candidates) {
-        if (donor != nullptr && donor_n == n && !donor->codeword_slices.empty()) {
+        if (donor != nullptr && !donor->codeword_slices.empty()) {
             // Same entry space, same nonce: the codeword planes are
             // bit-identical (copies share the scratch-bias epoch), and the
             // SoA dictionary needs only the regenerated columns patched in
@@ -608,7 +426,7 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
             round->codeword_slices = donor->codeword_slices;
             round->candidate_encoded_soa = donor->candidate_encoded_soa;
             for (std::size_t e = 0; e < entry_count; ++e) {
-                if (donor_entry(e) < 0) {
+                if (!donor_entry(e)) {
                     round->candidate_encoded_soa.set_column(e, round->candidate_encoded[e]);
                 }
             }
@@ -671,11 +489,9 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     // Fault-free phase-2 schedules CD(r_v, payload_v): D(payload_v) is
     // already in the dictionary, so only the scatter remains — and a donor
     // node with an unchanged message already scattered the identical pair.
-    // Sharded energy totals count the owned nodes only — the transport sums
-    // them across shards, each node counted by exactly its owner.
     round->combined_schedules.resize(n);
-    for_node_blocks(pool, owned_hi - owned_lo, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t v = owned_lo + begin; v < owned_lo + end; ++v) {
+    for_node_blocks(pool, n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
             if (donor_message_equal(v)) {
                 round->combined_schedules[v] = donor->combined_schedules[v];
             } else {
@@ -686,10 +502,10 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         }
     });
     round->phase2_beeps = 0;
-    for (std::size_t v = owned_lo; v < owned_hi; ++v) {
+    for (std::size_t v = 0; v < n; ++v) {
         round->phase2_beeps += round->combined_schedules[v].count();
     }
-    round->phase1_beeps = (owned_hi - owned_lo) * beep.weight();
+    round->phase1_beeps = n * beep.weight();
     return round;
 }
 
@@ -706,10 +522,6 @@ std::size_t Codebook::node_gap_capacity() {
 std::uint64_t Codebook::fingerprint() const {
     std::uint64_t h = 0x66696e6765727072ULL;
     auto mix = [&h](std::uint64_t value) { h = mix64(h ^ value); };
-    if (view_.has_value()) {  // unsharded digests are unchanged by the view feature
-        mix(0x73686172u);
-        mix(view_->digest());
-    }
     mix(graph_.node_count());
     mix(beep_length());
     mix(beep_code().weight());

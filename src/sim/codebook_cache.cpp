@@ -81,7 +81,9 @@ std::uint64_t CodebookCache::Key::hash() const {
     auto mix = [&h](std::uint64_t value) { h = mix64(h ^ value); };
     mix(graph_digest);
     mix(graph_digest2);
-    mix(shard_digest);
+    // A retired key field, mixed as its old constant 0 so key hashes — and
+    // with them the warm-start file names cb-<hash>.nbc — stay unchanged.
+    mix(0);
     mix(node_count);
     mix(message_bits);
     mix(c_eps);
@@ -98,12 +100,10 @@ std::uint64_t CodebookCache::key_digest(const Graph& graph, const SimulationPara
 }
 
 CodebookCache::Key CodebookCache::make_key(const Graph& graph,
-                                           const SimulationParams& params,
-                                           std::uint64_t shard_digest) {
+                                           const SimulationParams& params) {
     Key key;
     key.graph_digest = graph_digest(graph);
     key.graph_digest2 = graph_digest2(graph);
-    key.shard_digest = shard_digest;
     key.node_count = graph.node_count();
     key.message_bits = params.message_bits;
     key.c_eps = params.c_eps;
@@ -149,16 +149,6 @@ CodebookCache& CodebookCache::instance() {
     return cache;
 }
 
-std::shared_ptr<const SharedCodebook> CodebookCache::acquire(
-    const Graph& graph, const SimulationParams& params) {
-    return acquire_impl(graph, params, nullptr);
-}
-
-std::shared_ptr<const SharedCodebook> CodebookCache::acquire(
-    const Graph& graph, const SimulationParams& params, const Codebook::ShardView& view) {
-    return acquire_impl(graph, params, &view);
-}
-
 void CodebookCache::set_directory(const std::string& directory) {
     if (!directory.empty()) {
         if (::mkdir(directory.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -188,9 +178,9 @@ std::string CodebookCache::directory() const {
     return directory_;
 }
 
-std::shared_ptr<const SharedCodebook> CodebookCache::acquire_impl(
-    const Graph& graph, const SimulationParams& params, const Codebook::ShardView* view) {
-    const Key key = make_key(graph, params, view != nullptr ? view->digest() : 0);
+std::shared_ptr<const SharedCodebook> CodebookCache::acquire(const Graph& graph,
+                                                             const SimulationParams& params) {
+    const Key key = make_key(graph, params);
     Shard& shard = *shards_[key.hash() % shards_.size()];
 
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -214,11 +204,8 @@ std::shared_ptr<const SharedCodebook> CodebookCache::acquire_impl(
         disk_path = dir + "/" + key_file_name(key.hash());
         if (auto file = CodebookFile::map(disk_path)) {
             try {
-                built = view != nullptr
-                            ? std::make_shared<const SharedCodebook>(
-                                  graph, canonical_params(params), *view, std::move(file))
-                            : std::make_shared<const SharedCodebook>(
-                                  graph, canonical_params(params), std::move(file));
+                built = std::make_shared<const SharedCodebook>(
+                    graph, canonical_params(params), std::move(file));
                 ++shard.disk_loads;
             } catch (const precondition_error&) {
                 built = nullptr;  // identity mismatch: rebuild below
@@ -230,10 +217,7 @@ std::shared_ptr<const SharedCodebook> CodebookCache::acquire_impl(
         // (allocation failure, injected fault) did not produce a cached
         // codebook, and a retried job must observe the same counters as a
         // never-failed one.
-        built = view != nullptr
-                    ? std::make_shared<const SharedCodebook>(graph, canonical_params(params),
-                                                             *view)
-                    : std::make_shared<const SharedCodebook>(graph, canonical_params(params));
+        built = std::make_shared<const SharedCodebook>(graph, canonical_params(params));
         ++shard.builds;
         if (!disk_path.empty()) {
             try {

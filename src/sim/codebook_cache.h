@@ -24,11 +24,10 @@
 // digests (plus the node count), computed in one streaming pass each; a hit
 // requires both to match. The earlier design confirmed a digest match by
 // exact adjacency comparison, which walked — and the coloring cache even
-// copied — the whole graph per lookup; at sharded scale (10^5-node
-// subgraphs keyed once per shard) that comparison cost more than the hit
-// saved. A 128-bit digest pair makes an alias a ~2^-128 event per pair of
-// distinct graphs, which is the same collision budget content-addressed
-// stores run on.
+// copied — the whole graph per lookup; at 10^5-node scale that comparison
+// cost more than the hit saved. A 128-bit digest pair makes an alias a
+// ~2^-128 event per pair of distinct graphs, which is the same collision
+// budget content-addressed stores run on.
 //
 // Counters (hits/builds/evictions, plus the coloring set; misses are not
 // counted separately because every miss builds under the lock, so
@@ -61,19 +60,11 @@ public:
     SharedCodebook(const Graph& graph, const SimulationParams& params)
         : graph_(graph), codebook_(graph_, params) {}
 
-    /// Shard-view build (Codebook::ShardView): the graph is a shard closure.
-    SharedCodebook(const Graph& graph, const SimulationParams& params,
-                   Codebook::ShardView view)
-        : graph_(graph), codebook_(graph_, params, std::move(view)) {}
-
-    /// Mmap-backed builds (sim/codebook_io.h): the candidate index is
+    /// Mmap-backed build (sim/codebook_io.h): the candidate index is
     /// borrowed from the mapped file, which the codebook keeps alive.
     SharedCodebook(const Graph& graph, const SimulationParams& params,
                    std::shared_ptr<const CodebookFile> file)
         : graph_(graph), codebook_(graph_, params, std::move(file)) {}
-    SharedCodebook(const Graph& graph, const SimulationParams& params,
-                   Codebook::ShardView view, std::shared_ptr<const CodebookFile> file)
-        : graph_(graph), codebook_(graph_, params, std::move(view), std::move(file)) {}
 
     const Codebook& codebook() const noexcept { return codebook_; }
     const Graph& graph() const noexcept { return graph_; }
@@ -110,13 +101,6 @@ public:
     /// returned entry is independent of `graph`'s lifetime.
     std::shared_ptr<const SharedCodebook> acquire(const Graph& graph,
                                                   const SimulationParams& params);
-
-    /// acquire() for a shard-view codebook: the key additionally carries the
-    /// view digest, so two shards with equal closures but different owned
-    /// ranges (or global geometry) never alias.
-    std::shared_ptr<const SharedCodebook> acquire(const Graph& graph,
-                                                  const SimulationParams& params,
-                                                  const Codebook::ShardView& view);
 
     /// The cached greedy G^2 coloring of `graph` (the TDMA baseline's
     /// expensive per-transport setup), as a copy the caller owns.
@@ -196,7 +180,6 @@ private:
     struct Key {
         std::uint64_t graph_digest = 0;
         std::uint64_t graph_digest2 = 0;
-        std::uint64_t shard_digest = 0;  ///< Codebook::ShardView::digest(); 0 unsharded
         std::size_t node_count = 0;
         std::size_t message_bits = 0;
         std::size_t c_eps = 0;
@@ -236,12 +219,7 @@ private:
         std::vector<std::size_t> colors;
     };
 
-    static Key make_key(const Graph& graph, const SimulationParams& params,
-                        std::uint64_t shard_digest = 0);
-
-    std::shared_ptr<const SharedCodebook> acquire_impl(const Graph& graph,
-                                                       const SimulationParams& params,
-                                                       const Codebook::ShardView* view);
+    static Key make_key(const Graph& graph, const SimulationParams& params);
 
     /// Process-wide default byte cap (1 GiB); NB_CACHE_BYTES overrides it
     /// for the instance(). Far above any shipped workload — the cap exists

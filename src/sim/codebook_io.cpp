@@ -204,7 +204,6 @@ void save_codebook(const Codebook& codebook, const std::string& path) {
     const std::span<const std::uint64_t> offsets = codebook.candidate_offsets();
     const std::span<const std::uint32_t> entries = codebook.candidate_entry_data();
     const SimulationParams& params = codebook.params();
-    const Codebook::ShardView* view = codebook.shard_view();
     const Graph& graph = codebook.graph();
 
     const std::uint64_t checksum =
@@ -216,12 +215,10 @@ void save_codebook(const Codebook& codebook, const std::string& path) {
     json.begin_object();
     json.kv("schema", codebook_schema);
     json.kv("node_count", static_cast<std::uint64_t>(graph.node_count()));
-    json.kv("max_degree",
-            static_cast<std::uint64_t>(view != nullptr ? view->global_max_degree
-                                                       : graph.max_degree()));
+    json.kv("max_degree", static_cast<std::uint64_t>(graph.max_degree()));
     json.kv("graph_digest", CodebookCache::graph_digest(graph));
     json.kv("graph_digest2", CodebookCache::graph_digest2(graph));
-    json.kv("shard_digest", view != nullptr ? view->digest() : std::uint64_t{0});
+    json.kv("shard_digest", std::uint64_t{0});  // retired field, kept for v1 compatibility
     json.kv("message_bits", static_cast<std::uint64_t>(params.message_bits));
     json.kv("c_eps", static_cast<std::uint64_t>(params.c_eps));
     json.kv("code_seed", params.code_seed);

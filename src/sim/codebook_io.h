@@ -15,9 +15,10 @@
 // One JSON header line, space-padded so the binary payload starts on an
 // 8-byte boundary (mmap bases are page-aligned, so the offsets array is
 // naturally aligned in place). The identity block pins everything a
-// CodebookCache key pins — the 128-bit graph digest pair, the shard-view
-// digest, and the codebook-relevant params — plus the builder's fingerprint,
-// so a file can never adopt into a codebook it was not built for.
+// CodebookCache key pins — the 128-bit graph digest pair and the
+// codebook-relevant params — plus the builder's fingerprint, so a file can
+// never adopt into a codebook it was not built for. (The header also keeps
+// a retired `shard_digest` field, always 0, so v1 files stay byte-identical.)
 //
 // Durability follows the ArtifactStore discipline (DESIGN.md section 11):
 // write `<path>.tmp` fully, fflush + fsync, atomic rename, fsync the
@@ -43,7 +44,7 @@ public:
         std::uint64_t max_degree = 0;  ///< the degree that sized the beep code
         std::uint64_t graph_digest = 0;
         std::uint64_t graph_digest2 = 0;
-        std::uint64_t shard_digest = 0;  ///< ShardView::digest(); 0 unsharded
+        std::uint64_t shard_digest = 0;  ///< retired; always 0 (load rejects others)
         std::uint64_t message_bits = 0;
         std::uint64_t c_eps = 0;
         std::uint64_t code_seed = 0;

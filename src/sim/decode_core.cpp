@@ -50,9 +50,6 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     if ((*c.states)[v] != NodeState::correct) {
         return;  // faulty nodes produce no output (their slot stays empty)
     }
-    // The batch's slot table is indexed by global id; under sharding v is a
-    // local closure index and gv its global identity.
-    const NodeId gv = c.local_to_global != nullptr ? c.local_to_global[v] : v;
     DecodeWorkspace& ws = (*c.workspaces)[worker];
     NodeDiagnostics& diag = (*c.diagnostics)[v];
 
@@ -92,7 +89,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     } else {
         for (std::size_t i = 0; i < node_candidates; ++i) {
             const NodeId u = entries[i];
-            if (u != v && c.phase1_decoder->accepts_codeword(ws.heard1, (*c.codewords)[u],
+            if (u != v && c.phase1_decoder->accepts_codeword(ws.heard1, rd.codewords[u],
                                                              c.kernel)) {
                 ws.accepted_nodes.push_back(u);
             }
@@ -175,8 +172,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     };
 
     for (const auto u : ws.accepted_nodes) {
-        const std::uint32_t entry =
-            decode_entry_at((*c.codewords)[u], (*c.one_positions)[u], u);
+        const std::uint32_t entry = decode_entry_at(rd.codewords[u], rd.one_positions[u], u);
         const Bitstring& decoded = rd.candidate_messages[entry];
         if (c.graph->has_edge(u, v) && (*c.states)[u] == NodeState::correct &&
             decoded != rd.payloads[u]) {
@@ -194,7 +190,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
             deliver_tail(entry);
         }
     }
-    c.batch->commit_node(c.round_index, gv, worker, run_start, run_count, ws.sort_tmp);
+    c.batch->commit_node(c.round_index, v, worker, run_start, run_count, ws.sort_tmp);
 
     // Ground-truth delivery for the mismatch diagnostic: faulty
     // neighbors' messages are lost by definition. The expected messages
@@ -211,7 +207,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     bool mismatch = ws.expected.size() != run_count;
     for (std::size_t i = 0; !mismatch && i < ws.expected.size(); ++i) {
         const std::span<const std::uint64_t> record =
-            c.batch->delivered_words(c.round_index, gv, i);
+            c.batch->delivered_words(c.round_index, v, i);
         const std::vector<std::uint64_t>& expect = ws.expected[i]->words();
         for (std::size_t w = 0; w < stride; ++w) {
             if (record[w] != expect[w]) {

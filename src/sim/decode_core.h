@@ -1,20 +1,14 @@
-// The per-node decode pipeline of Algorithm 1, factored out of
-// BeepTransport so the sharded transport runs the *same* code over shard
-// closures: one function, decode_node(), consumes a DecodeContext and
-// writes one node's deliveries and diagnostics. Bit-identity between the
-// sharded and unsharded transports is then an argument about the context's
-// inputs (codewords, schedules, dictionaries, noise streams), not about two
-// decode implementations staying in sync (DESIGN.md section 10).
+// The per-node decode pipeline of Algorithm 1: one function, decode_node(),
+// consumes a DecodeContext and writes one node's deliveries and
+// diagnostics.
 //
-// Internal header: included by transport.cpp and sharded_transport.cpp
-// only. It also defines TransportBatch::Scratch (forward-declared in
-// transport_batch.h), the cross-call scratch both transports keep in the
-// caller's batch.
+// Internal header: included by transport.cpp only. It also defines
+// TransportBatch::Scratch (forward-declared in transport_batch.h), the
+// cross-call scratch BeepTransport keeps in the caller's batch.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -72,18 +66,13 @@ struct DecodeWorkspace {
 /// pointer keeps the std::function conversion at the parallel_for call site
 /// inside its small-buffer storage — no per-round allocation.
 ///
-/// `codewords` / `one_positions` are the *fault-free decoding dictionary*
-/// for phase 1 and the phase-2 gathers. For BeepTransport they alias the
-/// round's own vectors; the sharded transport points them at its assembled
-/// copies (owned slots from the local round, halo slots imported from the
-/// boundary table). `local_to_global` (nullptr = identity) maps node ids
-/// for the batch's slot table, which is always indexed globally.
+/// The round's fault-free codewords are the decoding dictionary for phase 1
+/// and the phase-2 gathers; the phase schedules differ from them only when
+/// faults force per-node overrides.
 struct DecodeContext {
     const Graph* graph = nullptr;
     const Codebook* codebook = nullptr;
     const Codebook::Round* round = nullptr;
-    const std::vector<Bitstring>* codewords = nullptr;
-    const std::vector<std::vector<std::size_t>>* one_positions = nullptr;
     const std::vector<std::optional<Bitstring>>* messages = nullptr;
     const std::vector<Bitstring>* phase1_schedules = nullptr;
     const std::vector<Bitstring>* phase2_schedules = nullptr;
@@ -95,7 +84,6 @@ struct DecodeContext {
     std::vector<DecodeWorkspace>* workspaces = nullptr;
     const std::vector<NodeState>* states = nullptr;
     std::vector<NodeDiagnostics>* diagnostics = nullptr;
-    const std::uint32_t* local_to_global = nullptr;
     std::size_t round_index = 0;
     std::size_t n = 0;
     std::size_t decoy_count = 0;
@@ -103,9 +91,9 @@ struct DecodeContext {
     simd::Kernel kernel = simd::Kernel::auto_best;
 };
 
-/// Decode node `v` (a local id under sharding) on `worker`'s scratch:
-/// phase-1 acceptance, phase-2 nearest-entry decodes, delivery commit into
-/// the batch, and this node's diagnostics. Faulty nodes return immediately
+/// Decode node `v` on `worker`'s scratch: phase-1 acceptance, phase-2
+/// nearest-entry decodes, delivery commit into the batch, and this node's
+/// diagnostics. Faulty nodes return immediately
 /// (their slot stays empty).
 void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v);
 
@@ -114,16 +102,12 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v);
 /// Everything decode rounds reuse across rounds and batches. Owned by the
 /// TransportBatch (caller lifetime), created on its first use; the
 /// fault-override schedule vectors stay empty on fault-free workloads.
-/// `extension` holds transport-specific state (the sharded transport's
-/// per-shard scratch and boundary table) type-erased, so this header stays
-/// independent of it.
 struct TransportBatch::Scratch {
     std::vector<transport_detail::DecodeWorkspace> workspaces;
     std::vector<transport_detail::NodeState> states;
     std::vector<transport_detail::NodeDiagnostics> diagnostics;
     std::vector<Bitstring> faulty_phase1;
     std::vector<Bitstring> faulty_phase2;
-    std::shared_ptr<void> extension;
 };
 
 }  // namespace nb

@@ -157,8 +157,6 @@ void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundS
     ctx.graph = &graph_;
     ctx.codebook = codebook_;
     ctx.round = &round;
-    ctx.codewords = &round.codewords;
-    ctx.one_positions = &round.one_positions;
     ctx.messages = spec.messages;
     ctx.phase1_schedules = phase1_schedules;
     ctx.phase2_schedules = phase2_schedules;

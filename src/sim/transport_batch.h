@@ -98,7 +98,6 @@ public:
 
 private:
     friend class BeepTransport;
-    friend class ShardedTransport;
     friend void transport_detail::decode_node(const transport_detail::DecodeContext& ctx,
                                               std::size_t worker, NodeId v);
 

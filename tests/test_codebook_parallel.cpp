@@ -3,8 +3,8 @@
 // build's Round bit for bit — every per-node vector, the bitslice and SoA
 // dictionaries, the decode radii, the energy totals — with every Stats
 // counter equal, for any pool size. Covered shapes: the two_hop dictionary,
-// all_nodes above the bitslice crossover, a same-nonce donor rebuild, and a
-// shard-view codebook (DESIGN.md sections 5 and 10).
+// all_nodes above the bitslice crossover, and a same-nonce donor rebuild
+// (DESIGN.md section 5).
 //
 // The recycled build: a rebuild under a new nonce writes into the
 // superseded round when the cache is its only owner. A recycled round must
@@ -27,7 +27,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
-#include "graph/partition.h"
 #include "sim/codebook.h"
 #include "sim/params.h"
 #include "sim/transport.h"
@@ -112,22 +111,8 @@ void expect_same_build_stats(const Codebook::Stats& a, const Codebook::Stats& b)
     EXPECT_EQ(a.round_builds, b.round_builds);
     EXPECT_EQ(a.codeword_builds, b.codeword_builds);
     EXPECT_EQ(a.payload_encodes, b.payload_encodes);
-    EXPECT_EQ(a.dictionary_rows_built, b.dictionary_rows_built);
-    EXPECT_EQ(a.dictionary_rows_reused, b.dictionary_rows_reused);
-    EXPECT_EQ(a.delta_full_rebuilds, b.delta_full_rebuilds);
     EXPECT_EQ(a.codeword_reuses, b.codeword_reuses);
     EXPECT_EQ(a.payload_encode_reuses, b.payload_encode_reuses);
-}
-
-/// The view a shard-plan shard of `graph` builds its codebook through.
-Codebook::ShardView view_of(const ShardPlan::Shard& shard, const Graph& graph) {
-    Codebook::ShardView view;
-    view.global_ids = shard.local_to_global;
-    view.owned_begin = shard.owned_begin;
-    view.owned_count = shard.owned_count;
-    view.global_node_count = graph.node_count();
-    view.global_max_degree = graph.max_degree();
-    return view;
 }
 
 /// Build rounds for `keys` in order on a fresh codebook per pool size and on
@@ -196,20 +181,6 @@ TEST(CodebookParallelBuild, SameNonceDonorRebuildIsPoolSizeInvariant) {
     }
 }
 
-TEST(CodebookParallelBuild, ShardViewRoundIsPoolSizeInvariant) {
-    Rng rng(0x54);
-    const Graph graph = make_random_regular(900, 4, rng);
-    const SimulationParams params = build_params(DictionaryPolicy::two_hop);
-    const ShardPlan plan = make_shard_plan(graph, 3);
-    for (const auto& shard : plan.shards) {
-        const Codebook::ShardView view = view_of(shard, graph);
-        const auto messages = make_messages(shard.local, params.message_bits, 6);
-        expect_pool_invariant(
-            [&] { return std::make_unique<Codebook>(shard.local, params, view); },
-            {{&messages, 41}, {&messages, 42}});
-    }
-}
-
 // ------------------------------------------------------------ recycling --
 
 /// Build `keys` in order on one codebook, releasing each round before the
@@ -269,21 +240,6 @@ TEST(CodebookRecycle, AllNodesAboveBitsliceCrossoverRecycledRoundEqualsFreshBuil
     expect_recycled_equals_fresh(
         [&] { return std::make_unique<Codebook>(graph, params); },
         {{&messages_a, 61}, {&messages_b, 62}, {&messages_a, 63}}, &pool);
-}
-
-TEST(CodebookRecycle, ShardViewRecycledRoundEqualsFreshBuild) {
-    Rng rng(0x63);
-    const Graph graph = make_random_regular(900, 4, rng);
-    const SimulationParams params = build_params(DictionaryPolicy::two_hop);
-    const ShardPlan plan = make_shard_plan(graph, 3);
-    for (const auto& shard : plan.shards) {
-        const Codebook::ShardView view = view_of(shard, graph);
-        const auto messages_a = make_messages(shard.local, params.message_bits, 11);
-        const auto messages_b = make_messages(shard.local, params.message_bits, 12);
-        expect_recycled_equals_fresh(
-            [&] { return std::make_unique<Codebook>(shard.local, params, view); },
-            {{&messages_a, 71}, {&messages_b, 72}}, nullptr);
-    }
 }
 
 TEST(CodebookRecycle, PresenceFlipsRecycleToFreshBuild) {

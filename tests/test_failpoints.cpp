@@ -63,9 +63,8 @@ TEST_F(FailpointTest, RegistrySweepCoversEveryShippedSite) {
     // The full site registry, fixed here on purpose: adding a site without
     // extending the sweep below (or removing one silently) fails this test.
     const std::vector<std::string> expected = {
-        "cache.evict",    "cache.insert", "channel.sample", "codebook.build",
-        "scenario.parse", "serve.accept", "serve.job",      "shard.exchange",
-        "store.put",      "sweep.job",
+        "cache.evict",  "cache.insert", "channel.sample", "codebook.build", "scenario.parse",
+        "serve.accept", "serve.job",    "store.put",      "sweep.job",
     };
     EXPECT_EQ(failpoint::registered_sites(), expected);
 }
@@ -160,9 +159,6 @@ TEST_F(FailpointTest, EverySiteSurvivesInjectedThrowAndOomWithRetries) {
     SweepSpec sweep;
     sweep.name = "site-sweep";
     sweep.bases = {noisy_base("job")};
-    // Sharded execution so the shard.exchange site sits on the job's real
-    // code path (it fires once per round inside ShardedTransport).
-    sweep.bases[0].shards = 2;
     sweep.axes.seeds = {1, 2};
     sweep.max_retries = 2;
 

@@ -157,6 +157,26 @@ TEST(RunScenario, DeterministicAcrossRuns) {
     EXPECT_EQ(a.delivery_mismatches, b.delivery_mismatches);
 }
 
+TEST(ScenarioSpec, FingerprintIgnoresThreadCount) {
+    // The journal contract: the thread count is an execution knob, so
+    // changing it must not invalidate resume.
+    ScenarioSpec spec = scenarios::shipped_scenarios().front();
+    const std::uint64_t reference = scenario_spec_fingerprint(spec);
+    spec.threads = 4;
+    EXPECT_EQ(scenario_spec_fingerprint(spec), reference);
+}
+
+TEST(RunScenario, DemoRing100kRunsEndToEnd) {
+    const ScenarioSpec* demo = scenarios::find_scenario("demo-ring-100k");
+    ASSERT_NE(demo, nullptr);
+    const ScenarioResult result = run_scenario(*demo);
+    EXPECT_EQ(result.node_count, 100000u);
+    EXPECT_EQ(result.rounds, 2u);
+    EXPECT_EQ(result.max_degree, 2u);  // ring
+    EXPECT_GT(result.beep_rounds_per_round, 0u);
+    EXPECT_GT(result.total_beeps, 0u);
+}
+
 TEST(RunScenario, TimeoutGoesThroughTheWatchdogTokenPath) {
     const ScenarioSpec spec = scenarios::e11_noise_point(0.2, 5);
 

