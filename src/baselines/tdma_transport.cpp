@@ -7,7 +7,6 @@
 #include "common/cancel.h"
 #include "common/error.h"
 #include "common/math_util.h"
-#include "congest/algorithm.h"
 #include "graph/algorithms.h"
 #include "sim/codebook_cache.h"
 
@@ -67,11 +66,13 @@ std::shared_ptr<const TdmaTransport::ScheduleCache> TdmaTransport::schedules_for
     const std::size_t payload_bits = params_.message_bits + 1;
     const std::size_t slot_bits = payload_bits * params_.repetitions;
     const std::size_t total_bits = rounds_per_broadcast_round();
+    const std::size_t stride = (params_.message_bits + 63) / 64;
 
     // Build beep schedules: node v transmits its payload (presence bit, then
     // message bits), each bit repeated, inside its color's slot.
     auto cache = std::make_shared<ScheduleCache>();
     cache->schedules.reserve(n);
+    cache->records.assign(n * stride, 0);
     for (NodeId v = 0; v < n; ++v) {
         Bitstring schedule(total_bits);
         if (messages[v].has_value()) {
@@ -89,6 +90,8 @@ std::shared_ptr<const TdmaTransport::ScheduleCache> TdmaTransport::schedules_for
             for (std::size_t i = 0; i < messages[v]->size(); ++i) {
                 write_bit(1 + i, messages[v]->test(i));
             }
+            const std::vector<std::uint64_t>& words = messages[v]->words();
+            std::copy(words.begin(), words.end(), cache->records.begin() + v * stride);
         }
         cache->schedules.push_back(std::move(schedule));
     }
@@ -100,60 +103,67 @@ std::shared_ptr<const TdmaTransport::ScheduleCache> TdmaTransport::schedules_for
     return cache;
 }
 
-std::vector<TransportRound> TdmaTransport::simulate_rounds(
-    std::span<const RoundSpec> specs) const {
+struct TdmaTransport::WorkerScratch {
+    Bitstring heard;
+    std::vector<std::uint64_t> sort_tmp;         ///< commit_node's record rotation
+    std::vector<const std::uint64_t*> expected;  ///< ground-truth records, sorted
+    std::size_t mismatches = 0;                  ///< this round's mismatched nodes
+};
+
+void TdmaTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
+                                         TransportBatch& batch) const {
     const std::size_t n = graph_.node_count();
     for (const auto& spec : specs) {
-        require(spec.messages != nullptr, "TdmaTransport::simulate_rounds: null messages");
+        require(spec.messages != nullptr, "TdmaTransport::simulate_rounds_into: null messages");
         require(spec.messages->size() == n, "TdmaTransport: one message slot per node");
         require(spec.faults == nullptr || spec.faults->empty(),
                 "TdmaTransport: fault injection is not supported");
     }
 
-    std::vector<TransportRound> results;
-    results.reserve(specs.size());
-    // Decode buffers are per batch: sized on the first round, reused by all.
-    std::vector<Bitstring> heard_buffers(pool_->worker_count());
-    for (const auto& spec : specs) {
+    batch.prepare(specs.size(), n, params_.message_bits, pool_->worker_count());
+    // Worker scratch is per batch: sized on the first round, reused by all.
+    std::vector<WorkerScratch> workers(pool_->worker_count());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
         cancel_poll();  // round boundary, same contract as BeepTransport
-        const std::shared_ptr<const ScheduleCache> cache = schedules_for(*spec.messages);
-        results.push_back(decode_round(*cache, *spec.messages, spec.nonce, heard_buffers));
+        const std::shared_ptr<const ScheduleCache> cache = schedules_for(*specs[i].messages);
+        decode_round_into(*cache, specs[i], i, batch, workers);
     }
-    return results;
 }
 
-TransportRound TdmaTransport::decode_round(const ScheduleCache& cache,
-                                           const std::vector<std::optional<Bitstring>>& messages,
-                                           std::uint64_t round_nonce,
-                                           std::vector<Bitstring>& heard_buffers) const {
+void TdmaTransport::decode_round_into(const ScheduleCache& cache, const RoundSpec& spec,
+                                      std::size_t round_index, TransportBatch& batch,
+                                      std::vector<WorkerScratch>& workers) const {
     const std::size_t n = graph_.node_count();
     const std::size_t payload_bits = params_.message_bits + 1;
     const std::size_t slot_bits = payload_bits * params_.repetitions;
+    const std::size_t stride = batch.message_words();
+    const std::vector<std::optional<Bitstring>>& messages = *spec.messages;
 
-    const Rng round_rng = Rng(params_.transport_seed).derive(0x726f756eu, round_nonce);
+    const Rng round_rng = Rng(params_.transport_seed).derive(0x726f756eu, spec.nonce);
     const BatchParams channel{params_.channel_model(), false};
     const BatchEngine engine(graph_, channel, round_rng);
     engine.check_schedules(cache.schedules);  // once per round, not per node
 
-    TransportRound result;
-    result.beep_rounds = rounds_per_broadcast_round();
-    result.total_beeps = cache.total_beeps;
-    result.delivered.resize(n);
-
     const std::size_t majority = params_.repetitions / 2 + 1;
-    std::vector<std::size_t> mismatches(n, 0);
+    for (auto& ws : workers) {
+        ws.mismatches = 0;
+    }
     pool_->parallel_for(n, [&](std::size_t worker, std::size_t node) {
         const auto v = static_cast<NodeId>(node);
-        Bitstring& heard = heard_buffers[worker];
-        engine.hear_into(v, cache.schedules, heard);
+        WorkerScratch& ws = workers[worker];
+        engine.hear_into(v, cache.schedules, ws.heard);
         // Decode one message per neighbor from that neighbor's color slot
-        // (the setup coloring tells v when each neighbor transmits).
+        // (the setup coloring tells v when each neighbor transmits), straight
+        // into a record of this worker's arena; the run is contiguous
+        // because a worker decodes one node at a time.
+        std::uint64_t run_start = 0;
+        std::uint32_t run_count = 0;
         for (const auto u : graph_.neighbors(v)) {
             const std::size_t base = colors_[u] * slot_bits;
             auto read_bit = [&](std::size_t bit_index) {
                 std::size_t ones = 0;
                 for (std::size_t rep = 0; rep < params_.repetitions; ++rep) {
-                    if (heard.test(base + bit_index * params_.repetitions + rep)) {
+                    if (ws.heard.test(base + bit_index * params_.repetitions + rep)) {
                         ++ones;
                     }
                 }
@@ -162,34 +172,49 @@ TransportRound TdmaTransport::decode_round(const ScheduleCache& cache,
             if (!read_bit(0)) {
                 continue;  // no presence: neighbor was silent
             }
-            Bitstring message(params_.message_bits);
+            const std::uint64_t offset = batch.push_record(worker);
+            if (run_count == 0) {
+                run_start = offset;
+            }
+            ++run_count;
+            std::uint64_t* record = batch.record_at(worker, offset);
+            std::fill_n(record, stride, 0);
             for (std::size_t i = 0; i < params_.message_bits; ++i) {
                 if (read_bit(1 + i)) {
-                    message.set(i);
+                    record[i / 64] |= std::uint64_t{1} << (i % 64);
                 }
             }
-            result.delivered[v].push_back(std::move(message));
         }
-        sort_messages(result.delivered[v]);
+        batch.commit_node(round_index, v, worker, run_start, run_count, ws.sort_tmp);
 
-        std::vector<Bitstring> expected;
+        // Ground truth: every sending neighbor's zero-padded message,
+        // compared word-by-word against the sorted delivered records.
+        ws.expected.clear();
         for (const auto u : graph_.neighbors(v)) {
             if (messages[u].has_value()) {
-                Bitstring padded(params_.message_bits);
-                messages[u]->for_each_one([&padded](std::size_t i) { padded.set(i); });
-                expected.push_back(std::move(padded));
+                ws.expected.push_back(cache.records.data() + u * stride);
             }
         }
-        sort_messages(expected);
-        if (expected != result.delivered[v]) {
-            mismatches[v] = 1;
+        std::sort(ws.expected.begin(), ws.expected.end(),
+                  [stride](const std::uint64_t* a, const std::uint64_t* b) {
+                      return record_less(a, b, stride);
+                  });
+        bool mismatch = ws.expected.size() != run_count;
+        for (std::size_t i = 0; !mismatch && i < ws.expected.size(); ++i) {
+            const std::span<const std::uint64_t> record =
+                batch.delivered_words(round_index, v, i);
+            mismatch = !std::equal(record.begin(), record.end(), ws.expected[i]);
         }
+        ws.mismatches += mismatch ? 1 : 0;
     });
-    for (const auto mismatch : mismatches) {
-        result.delivery_mismatches += mismatch;
+
+    TransportRoundStats& stats = batch.stats_[round_index];
+    stats.beep_rounds = rounds_per_broadcast_round();
+    stats.total_beeps = cache.total_beeps;
+    for (const auto& ws : workers) {
+        stats.delivery_mismatches += ws.mismatches;
     }
-    result.perfect = result.delivery_mismatches == 0;
-    return result;
+    stats.perfect = stats.delivery_mismatches == 0;
 }
 
 }  // namespace nb

@@ -18,9 +18,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "beep/channel_model.h"
@@ -65,10 +67,12 @@ public:
     TdmaTransport(const Graph& graph, TdmaParams params);
 
     /// Batched rounds (specs must carry no FaultModel — the baseline does
-    /// not model faults). Schedule packing is cached per messages vector and
-    /// decode buffers are reused across the whole batch.
-    std::vector<TransportRound> simulate_rounds(
-        std::span<const RoundSpec> specs) const override;
+    /// not model faults). Schedule packing is cached per messages vector;
+    /// each majority-decoded message lands as a record in the decoding
+    /// worker's batch arena, and hearing buffers are reused across the
+    /// whole batch.
+    void simulate_rounds_into(std::span<const RoundSpec> specs,
+                              TransportBatch& batch) const override;
 
     std::size_t rounds_per_broadcast_round() const override;
 
@@ -82,21 +86,27 @@ public:
 private:
     /// The baseline's analogue of the Codebook round cache: TDMA schedules
     /// depend only on the messages (slots are fixed by the coloring), so
-    /// repeated rounds with unchanged messages reuse the packed schedules
-    /// and their energy total.
+    /// repeated rounds with unchanged messages reuse the packed schedules,
+    /// their energy total and the ground-truth records.
     struct ScheduleCache {
         std::vector<Bitstring> schedules;
         std::size_t total_beeps = 0;
+        /// Node v's message zero-padded to message_bits, as the batch record
+        /// it should be delivered as (word-stride message_words; unused for
+        /// silent nodes).
+        std::vector<std::uint64_t> records;
         std::vector<std::optional<Bitstring>> messages;  ///< the cache key
     };
+
+    /// One pool worker's hearing and ground-truth scratch (tdma_transport.cpp).
+    struct WorkerScratch;
 
     std::shared_ptr<const ScheduleCache> schedules_for(
         const std::vector<std::optional<Bitstring>>& messages) const;
 
-    TransportRound decode_round(const ScheduleCache& cache,
-                                const std::vector<std::optional<Bitstring>>& messages,
-                                std::uint64_t round_nonce,
-                                std::vector<Bitstring>& heard_buffers) const;
+    void decode_round_into(const ScheduleCache& cache, const RoundSpec& spec,
+                           std::size_t round_index, TransportBatch& batch,
+                           std::vector<WorkerScratch>& workers) const;
 
     const Graph& graph_;
     TdmaParams params_;

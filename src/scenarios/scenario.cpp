@@ -195,7 +195,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
     const Graph graph = spec.topology.build();
     // RoundSpec::messages/faults are non-owning: both live here, on the
-    // runner's frame, for the whole simulate_rounds call.
+    // runner's frame, for the whole simulate_rounds_into call.
     const std::vector<std::optional<Bitstring>> messages = spec.workload.build(graph);
 
     std::unique_ptr<Transport> transport;
@@ -211,8 +211,11 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         round_specs.push_back(RoundSpec{&messages, nonce, faults_for_round(spec.faults, nonce)});
     }
 
+    // The result is counters only, so they are read straight from the
+    // batch; its delivered records are never turned into Bitstrings.
+    TransportBatch batch;
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<TransportRound> rounds = transport->simulate_rounds(round_specs);
+    transport->simulate_rounds_into(round_specs, batch);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
@@ -224,11 +227,12 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     result.transport = spec.transport == TransportKind::beep ? "beep" : "tdma";
     result.node_count = graph.node_count();
     result.max_degree = graph.max_degree();
-    result.rounds = rounds.size();
+    result.rounds = batch.rounds();
     result.wall_seconds = wall;
     result.rounds_per_second =
-        wall > 0.0 ? static_cast<double>(rounds.size()) / wall : 0.0;
-    for (const auto& round : rounds) {
+        wall > 0.0 ? static_cast<double>(batch.rounds()) / wall : 0.0;
+    for (std::size_t i = 0; i < batch.rounds(); ++i) {
+        const auto& round = batch.stats(i);
         result.perfect_rounds += round.perfect ? 1 : 0;
         result.beep_rounds_per_round = round.beep_rounds;  // constant per transport
         result.total_beeps += round.total_beeps;

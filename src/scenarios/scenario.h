@@ -149,9 +149,9 @@ struct ScenarioResult {
 };
 
 /// Execute one spec: build the topology and workload, construct the
-/// transport, simulate all rounds through the batched simulate_rounds path,
-/// and aggregate. Deterministic: a spec's result fields (wall time aside)
-/// are a pure function of the spec.
+/// transport, simulate all rounds in one simulate_rounds_into batch, and
+/// aggregate its per-round counters. Deterministic: a spec's result fields
+/// (wall time aside) are a pure function of the spec.
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 /// run_scenario under a watchdog: a CancelToken armed with `now +

@@ -12,6 +12,17 @@ using transport_detail::DecodeWorkspace;
 using transport_detail::NodeState;
 using transport_detail::build_node_states_into;
 
+std::vector<TransportRound> Transport::simulate_rounds(std::span<const RoundSpec> specs) const {
+    TransportBatch batch;
+    simulate_rounds_into(specs, batch);
+    std::vector<TransportRound> results;
+    results.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        results.push_back(batch.to_round(i));
+    }
+    return results;
+}
+
 TransportRound Transport::simulate_round(
     const std::vector<std::optional<Bitstring>>& messages, std::uint64_t round_nonce) const {
     const RoundSpec spec{&messages, round_nonce, nullptr};
@@ -39,33 +50,11 @@ std::size_t BeepTransport::rounds_per_broadcast_round() const {
     return params_.rounds_per_broadcast_round(graph_.max_degree());
 }
 
-TransportRound BeepTransport::simulate_round(
-    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t round_nonce,
-    const FaultModel& faults) const {
-    const RoundSpec spec{&messages, round_nonce, &faults};
-    return std::move(simulate_rounds({&spec, 1}).front());
-}
-
-std::vector<TransportRound> BeepTransport::simulate_rounds(
-    std::span<const RoundSpec> specs) const {
-    // The compatibility bridge: decode into a throwaway batch, then convert
-    // each round to the owning TransportRound shape. Callers that care about
-    // allocation rates use simulate_rounds_into with a reused batch.
-    TransportBatch batch;
-    simulate_rounds_into(specs, batch);
-    std::vector<TransportRound> results;
-    results.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        results.push_back(batch.to_round(i));
-    }
-    return results;
-}
-
 void BeepTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
                                          TransportBatch& batch) const {
     const std::size_t n = graph_.node_count();
     for (const auto& spec : specs) {
-        require(spec.messages != nullptr, "BeepTransport::simulate_rounds: null messages");
+        require(spec.messages != nullptr, "BeepTransport::simulate_rounds_into: null messages");
         require(spec.messages->size() == n, "BeepTransport: one message slot per node");
     }
 

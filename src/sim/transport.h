@@ -69,10 +69,10 @@ struct TransportRound {
 
 /// One round of a batched simulation: the messages (non-owning and never
 /// null — implementations require() it per spec, and the pointee must
-/// outlive the simulate_rounds call), the per-round nonce, and an optional
-/// fault model (nullptr = fault-free, otherwise also non-owning with the
-/// same lifetime contract). Sweeps typically share one messages vector
-/// across many specs and vary only the nonce.
+/// outlive the simulate_rounds_into call), the per-round nonce, and an
+/// optional fault model (nullptr = fault-free, otherwise also non-owning
+/// with the same lifetime contract). Sweeps typically share one messages
+/// vector across many specs and vary only the nonce.
 struct RoundSpec {
     const std::vector<std::optional<Bitstring>>* messages = nullptr;
     std::uint64_t nonce = 0;
@@ -86,20 +86,29 @@ class Transport {
 public:
     virtual ~Transport() = default;
 
-    /// Simulate a batch of rounds, one result per spec, in spec order. This
-    /// is the throughput path: per-spec setup (schedule validation, decode
-    /// workspaces, engine state) is paid once per batch instead of once per
-    /// round. Each round is built, then decoded, both fanned out on the
-    /// transport's one thread pool. Outputs are bit-identical to calling
-    /// simulate_round per spec — batching, like threading, only trades
-    /// wall-clock (see DESIGN.md section 5).
-    virtual std::vector<TransportRound> simulate_rounds(
-        std::span<const RoundSpec> specs) const = 0;
+    /// Simulate a batch of rounds, in spec order, into caller-owned arena
+    /// storage (see transport_batch.h): each round's counters land in
+    /// batch.stats(i) and its delivered messages as fixed-stride records in
+    /// per-worker arenas, with all decode scratch kept in the batch. This is
+    /// the one simulation path every transport implements: per-spec setup
+    /// is paid once per batch and each round is fanned out on the
+    /// transport's one thread pool (BeepTransport, on a reused batch at its
+    /// steady-state high-water mark, decodes with no heap allocation).
+    /// Outputs are bit-identical for any batch split and thread count (see
+    /// DESIGN.md section 5). One call writes a batch at a time.
+    virtual void simulate_rounds_into(std::span<const RoundSpec> specs,
+                                      TransportBatch& batch) const = 0;
+
+    /// The owning-result bridge over simulate_rounds_into: a fresh batch,
+    /// then batch.to_round(i) per spec. For callers that consume Bitstring
+    /// deliveries, such as the Broadcast CONGEST engine; it allocates per
+    /// delivered message, so counter-only callers read the batch instead.
+    std::vector<TransportRound> simulate_rounds(std::span<const RoundSpec> specs) const;
 
     /// Simulate one round. `messages[v]` is node v's broadcast (at most
     /// message_bits bits) or nullopt for silence. `round_nonce` must differ
     /// across rounds (it keys the fresh per-round randomness). Equivalent to
-    /// simulate_rounds with a single spec.
+    /// simulate_rounds with a single fault-free spec.
     TransportRound simulate_round(const std::vector<std::optional<Bitstring>>& messages,
                                   std::uint64_t round_nonce) const;
 
@@ -114,28 +123,12 @@ public:
     /// The graph must outlive the transport.
     BeepTransport(const Graph& graph, SimulationParams params);
 
-    using Transport::simulate_round;
-
-    std::vector<TransportRound> simulate_rounds(
-        std::span<const RoundSpec> specs) const override;
-
-    /// The zero-copy batch path: decode `specs` into caller-owned arena
-    /// storage (see transport_batch.h). Bit-identical to simulate_rounds —
-    /// batch.to_round(i) reproduces result[i] exactly — but delivered
-    /// messages land as fixed-stride records in per-worker arenas instead
-    /// of per-node Bitstring vectors, and all decode scratch lives in the
-    /// batch, so a reused batch at its steady-state high-water mark decodes
-    /// with zero heap allocations. One simulate_rounds_into call writes a
-    /// batch at a time; simulate_rounds is this plus the per-round
-    /// conversion.
-    void simulate_rounds_into(std::span<const RoundSpec> specs, TransportBatch& batch) const;
-
-    /// Fault-injected variant: `faults` nodes misbehave as described by
-    /// FaultModel. Ground-truth diagnostics expect nothing from faulty nodes
-    /// (their messages are lost by definition); deliveries at correct nodes
+    /// A spec's FaultModel makes its nodes misbehave as described there.
+    /// Ground-truth diagnostics expect nothing from faulty nodes (their
+    /// messages are lost by definition); deliveries at correct nodes
     /// measure how far the damage spreads.
-    TransportRound simulate_round(const std::vector<std::optional<Bitstring>>& messages,
-                                  std::uint64_t round_nonce, const FaultModel& faults) const;
+    void simulate_rounds_into(std::span<const RoundSpec> specs,
+                              TransportBatch& batch) const override;
 
     /// Beep rounds one simulated round costs on this graph (2*b).
     std::size_t rounds_per_broadcast_round() const override;

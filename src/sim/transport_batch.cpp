@@ -8,12 +8,6 @@
 
 namespace nb {
 
-namespace {
-
-/// message_less for two equal-size records: compare packed words from the
-/// most significant down (sizes are equal by construction — one message
-/// size per transport — so the size comparison in message_less never
-/// fires).
 bool record_less(const std::uint64_t* a, const std::uint64_t* b, std::size_t words) noexcept {
     for (std::size_t i = words; i-- > 0;) {
         if (a[i] != b[i]) {
@@ -22,8 +16,6 @@ bool record_less(const std::uint64_t* a, const std::uint64_t* b, std::size_t wor
     }
     return false;
 }
-
-}  // namespace
 
 TransportBatch::TransportBatch() = default;
 TransportBatch::~TransportBatch() = default;
@@ -86,7 +78,7 @@ void TransportBatch::commit_node(std::size_t round, NodeId v, std::size_t worker
                                  std::vector<std::uint64_t>& tmp) {
     // Insertion sort over the run's fixed-stride records: deliveries per
     // node are O(degree), and the sort must impose exactly sort_messages'
-    // order so ring results mirror simulate_rounds bit for bit.
+    // order so batch records mirror TransportRound deliveries bit for bit.
     if (count > 1) {
         tmp.resize(stride_);
         std::uint64_t* base = record_at(worker, start);

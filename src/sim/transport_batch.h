@@ -1,9 +1,10 @@
-// Caller-owned zero-copy result storage for batched transport simulation.
+// Caller-owned zero-copy result storage for batched transport simulation:
+// the one result shape every Transport writes (simulate_rounds_into).
 //
-// simulate_rounds() returns vector<vector<Bitstring>> deliveries — two heap
-// levels per node per round, allocated anew each call. At batch rates that
-// allocation traffic, not decoding, caps throughput. A TransportBatch
-// replaces it with arena storage sized once and reused forever:
+// An owning TransportRound holds vector<vector<Bitstring>> deliveries — two
+// heap levels per node per round. At batch rates that allocation traffic,
+// not decoding, caps throughput. A TransportBatch replaces it with arena
+// storage sized once and reused forever:
 //
 //   * every delivered message is a fixed-stride record (the payload tail's
 //     packed words — one message size per transport, so records need no
@@ -43,6 +44,11 @@ namespace transport_detail {
 struct DecodeContext;
 void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v);
 }  // namespace transport_detail
+
+/// message_less for two equal-size records of `words` packed words: compare
+/// from the most significant word down. Records of one transport share one
+/// message size, so message_less's size comparison never fires.
+bool record_less(const std::uint64_t* a, const std::uint64_t* b, std::size_t words) noexcept;
 
 /// One round's counters — TransportRound minus the delivered storage.
 struct TransportRoundStats {
@@ -88,8 +94,8 @@ public:
     /// convenience accessor for tests and non-hot callers).
     Bitstring delivered_message(std::size_t round, NodeId v, std::size_t i) const;
 
-    /// The TransportRound this batch's round would have produced through
-    /// simulate_rounds — the compatibility bridge (allocates per delivery).
+    /// This batch's round as an owning TransportRound — what
+    /// Transport::simulate_rounds returns (allocates per delivery).
     TransportRound to_round(std::size_t round) const;
 
     /// Arena words currently allocated across workers (observability; the
@@ -98,6 +104,7 @@ public:
 
 private:
     friend class BeepTransport;
+    friend class TdmaTransport;
     friend void transport_detail::decode_node(const transport_detail::DecodeContext& ctx,
                                               std::size_t worker, NodeId v);
 
@@ -137,8 +144,8 @@ private:
     }
 
     /// Sort the node's run (insertion sort on fixed-stride records, ordered
-    /// exactly like message_less on equal-size strings) and publish its
-    /// slot. `tmp` is caller scratch of at least message_words() words.
+    /// by record_less) and publish its slot. `tmp` is caller scratch of at
+    /// least message_words() words.
     void commit_node(std::size_t round, NodeId v, std::size_t worker, std::uint64_t start,
                      std::uint32_t count, std::vector<std::uint64_t>& tmp);
 

@@ -26,6 +26,14 @@ std::vector<std::optional<Bitstring>> all_messages_for(const Graph& graph, std::
     return messages;
 }
 
+/// One round of `transport` with `faults` applied: a single-spec batch.
+TransportRound simulate_faulty(const Transport& transport,
+                               const std::vector<std::optional<Bitstring>>& messages,
+                               std::uint64_t nonce, const FaultModel& faults) {
+    const RoundSpec spec{&messages, nonce, &faults};
+    return std::move(transport.simulate_rounds({&spec, 1}).front());
+}
+
 SimulationParams params_for(double epsilon) {
     SimulationParams params;
     params.epsilon = epsilon;
@@ -40,7 +48,7 @@ TEST(Faults, EmptyFaultModelMatchesPlainRound) {
     const BeepTransport transport(g, params_for(0.1));
     const auto messages = all_messages_for(g, 10, 5);
     const auto plain = transport.simulate_round(messages, 3);
-    const auto faulted = transport.simulate_round(messages, 3, FaultModel{});
+    const auto faulted = simulate_faulty(transport, messages, 3, FaultModel{});
     EXPECT_EQ(plain.delivered, faulted.delivered);
     EXPECT_EQ(plain.perfect, faulted.perfect);
 }
@@ -55,7 +63,7 @@ TEST(Faults, CrashedNodeMessagesLostButRestDelivered) {
     FaultModel faults;
     faults.crashed = {0};
 
-    const auto round = transport.simulate_round(messages, 0, faults);
+    const auto round = simulate_faulty(transport, messages, 0, faults);
     EXPECT_TRUE(round.perfect);  // ground truth excludes the crashed node
     EXPECT_TRUE(round.delivered[0].empty());
     for (NodeId v = 1; v < 8; ++v) {
@@ -76,7 +84,7 @@ TEST(Faults, CrashIsLocalizedOnAPath) {
     FaultModel faults;
     faults.crashed = {2};
 
-    const auto round = transport.simulate_round(messages, 0, faults);
+    const auto round = simulate_faulty(transport, messages, 0, faults);
     EXPECT_TRUE(round.perfect);
     EXPECT_EQ(round.delivered[0].size(), 1u);
     EXPECT_EQ(round.delivered[1].size(), 1u);  // only node 0's message
@@ -96,7 +104,7 @@ TEST(Faults, JammerDamagesOnlyItsNeighborhood) {
     FaultModel faults;
     faults.jammers = {0};
 
-    const auto round = transport.simulate_round(messages, 0, faults);
+    const auto round = simulate_faulty(transport, messages, 0, faults);
     // Node 1 hears all-ones: everything in its dictionary passes the
     // threshold test — spurious accepts counted as false positives.
     EXPECT_GT(round.phase1_false_positives, 0u);
@@ -120,7 +128,7 @@ TEST(Faults, JammedListenerAcceptsEverything) {
     FaultModel faults;
     faults.jammers = {1};  // one leaf jams; center is in range
 
-    const auto round = transport.simulate_round(messages, 0, faults);
+    const auto round = simulate_faulty(transport, messages, 0, faults);
     EXPECT_FALSE(round.perfect);
     EXPECT_GT(round.phase1_false_positives, 0u);
     // Other leaves (distance 2 from the jammer) hear only the center.
@@ -136,15 +144,15 @@ TEST(Faults, ValidationRejectsBadIds) {
     const auto messages = all_messages_for(g, 10, 15);
     FaultModel out_of_range;
     out_of_range.jammers = {5};
-    EXPECT_THROW(transport.simulate_round(messages, 0, out_of_range), precondition_error);
+    EXPECT_THROW(simulate_faulty(transport, messages, 0, out_of_range), precondition_error);
     // A node listed as both jammer and crashed is contradictory — rejected
-    // up front, on the single-round and the batched path alike.
+    // up front, alone or behind a valid spec in the same batch.
     FaultModel both;
     both.jammers = {1};
     both.crashed = {1};
-    EXPECT_THROW(transport.simulate_round(messages, 0, both), precondition_error);
-    const RoundSpec spec{&messages, 0, &both};
-    EXPECT_THROW(transport.simulate_rounds({&spec, 1}), precondition_error);
+    EXPECT_THROW(simulate_faulty(transport, messages, 0, both), precondition_error);
+    const std::vector<RoundSpec> specs{{&messages, 0, nullptr}, {&messages, 1, &both}};
+    EXPECT_THROW(transport.simulate_rounds(specs), precondition_error);
 }
 
 TEST(Faults, DuplicateListingsAreIdempotent) {
@@ -159,8 +167,8 @@ TEST(Faults, DuplicateListingsAreIdempotent) {
     FaultModel plain;
     plain.jammers = {0};
     plain.crashed = {2};
-    const auto a = transport.simulate_round(messages, 1, duplicated);
-    const auto b = transport.simulate_round(messages, 1, plain);
+    const auto a = simulate_faulty(transport, messages, 1, duplicated);
+    const auto b = simulate_faulty(transport, messages, 1, plain);
     EXPECT_EQ(a.delivered, b.delivered);
     EXPECT_EQ(a.phase1_false_positives, b.phase1_false_positives);
     EXPECT_EQ(a.delivery_mismatches, b.delivery_mismatches);
@@ -223,7 +231,7 @@ TEST(Faults, ManyCrashesStillDeliverAmongSurvivors) {
 
     std::size_t perfect = 0;
     for (std::uint64_t nonce = 0; nonce < 5; ++nonce) {
-        perfect += transport.simulate_round(messages, nonce, faults).perfect ? 1 : 0;
+        perfect += simulate_faulty(transport, messages, nonce, faults).perfect ? 1 : 0;
     }
     // Crashes reduce effective degree; decoding should succeed at least as
     // often as in the fault-free noisy case.

@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "alloc_hooks.h"
 #include "common/cancel.h"
 #include "common/error.h"
 #include "common/math_util.h"
@@ -233,6 +234,34 @@ TEST(RunScenario, E11SpecReproducesLegacyBenchNumbers) {
     EXPECT_EQ(via_runner.beep_rounds_per_round, transport.rounds_per_broadcast_round());
     EXPECT_EQ(via_runner.node_count, 64u);
     EXPECT_EQ(via_runner.max_degree, g.max_degree());
+}
+
+TEST(RunScenario, AllocationsDoNotGrowWithRounds) {
+    // run_scenario reads counters from its batch and never turns delivered
+    // records into Bitstrings, so three more rounds cost only a few arena
+    // growths, not one object per node and per delivered message. The
+    // cached codebook is warm, so every round build recycles in place.
+    ScenarioSpec spec;
+    spec.name = "test-allocations";
+    spec.topology.family = TopologySpec::Family::random_regular;
+    spec.topology.n = 2048;
+    spec.topology.degree = 8;
+    spec.channel = ChannelModel::iid(0.1);
+    spec.workload.message_bits = 11;
+    spec.dictionary = DictionaryPolicy::two_hop;
+    spec.threads = 4;  // arena growth is per worker; pin the worker count
+    const auto allocations_at = [&spec](std::size_t rounds) {
+        spec.rounds = rounds;
+        const std::uint64_t before = alloc_hooks::count();
+        const ScenarioResult result = run_scenario(spec);
+        const std::uint64_t allocations = alloc_hooks::count() - before;
+        EXPECT_EQ(result.rounds, rounds);
+        return allocations;
+    };
+    allocations_at(4);  // warms the codebook cache and its round
+    const std::uint64_t one = allocations_at(1);
+    const std::uint64_t four = allocations_at(4);
+    EXPECT_LE(four, one + 64) << "rounds=1: " << one << ", rounds=4: " << four;
 }
 
 TEST(RunScenario, FaultWindowsActivatePerRound) {

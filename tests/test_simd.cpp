@@ -324,7 +324,8 @@ std::uint64_t run_fingerprint(const BeepTransport& transport,
                               const FaultModel& faults) {
     std::uint64_t h = 0;
     for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
-        h = mix64(h ^ fingerprint(transport.simulate_round(messages, nonce, faults)));
+        const RoundSpec spec{&messages, nonce, &faults};
+        h = mix64(h ^ fingerprint(transport.simulate_rounds({&spec, 1}).front()));
     }
     return h;
 }
@@ -396,8 +397,7 @@ TEST(TransportBatchRing, ReusedBatchMatchesSimulateRounds) {
         EXPECT_EQ(batch.message_bits(), params.message_bits);
         for (std::size_t i = 0; i < specs.size(); ++i) {
             const TransportRound expect =
-                transport.simulate_round(messages, specs[i].nonce,
-                                         specs[i].faults ? *specs[i].faults : FaultModel{});
+                std::move(transport.simulate_rounds({&specs[i], 1}).front());
             const TransportRound got = batch.to_round(i);
             EXPECT_EQ(got.delivered, expect.delivered);
             EXPECT_EQ(got.total_beeps, expect.total_beeps);

@@ -54,12 +54,20 @@ std::uint64_t fingerprint(const TransportRound& round) {
     return h;
 }
 
+/// One round of `transport` with `faults` applied: a single-spec batch.
+TransportRound simulate_faulty(const Transport& transport,
+                               const std::vector<std::optional<Bitstring>>& messages,
+                               std::uint64_t nonce, const FaultModel& faults) {
+    const RoundSpec spec{&messages, nonce, &faults};
+    return std::move(transport.simulate_rounds({&spec, 1}).front());
+}
+
 std::uint64_t run_fingerprint(const BeepTransport& transport,
                               const std::vector<std::optional<Bitstring>>& messages,
                               const FaultModel& faults) {
     std::uint64_t h = 0;
     for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
-        h = mix64(h ^ fingerprint(transport.simulate_round(messages, nonce, faults)));
+        h = mix64(h ^ fingerprint(simulate_faulty(transport, messages, nonce, faults)));
     }
     return h;
 }
@@ -203,12 +211,17 @@ TEST_F(TransportEquivalence, NullMessagesAreRejectedPerSpec) {
 }
 
 TEST_F(TransportEquivalence, BatchSizeOneMatchesSimulateRound) {
+    // A round simulated alone (simulate_round, or one faulty spec) must
+    // equal the same round decoded inside a larger batch, whose arenas
+    // already hold the earlier rounds' records.
     for (const auto policy : {DictionaryPolicy::two_hop, DictionaryPolicy::all_nodes}) {
         const BeepTransport transport(graph_, noisy_params(policy));
-        const RoundSpec spec{&messages_, 7, &faults_};
-        const auto batched = transport.simulate_rounds({&spec, 1});
-        ASSERT_EQ(batched.size(), 1u);
-        expect_equal_rounds(batched.front(), transport.simulate_round(messages_, 7, faults_));
+        const std::vector<RoundSpec> specs{
+            {&messages_, 6, nullptr}, {&messages_, 7, &faults_}, {&messages_, 8, nullptr}};
+        const auto batched = transport.simulate_rounds(specs);
+        ASSERT_EQ(batched.size(), specs.size());
+        expect_equal_rounds(batched[1], simulate_faulty(transport, messages_, 7, faults_));
+        expect_equal_rounds(batched[2], transport.simulate_round(messages_, 8));
     }
 }
 
@@ -239,8 +252,8 @@ TEST_F(TransportEquivalence, ThreadCountDoesNotChangeOutputs) {
         for (std::uint64_t nonce = 0; nonce < 2; ++nonce) {
             expect_equal_rounds(serial.simulate_round(messages_, nonce),
                                 threaded.simulate_round(messages_, nonce));
-            expect_equal_rounds(serial.simulate_round(messages_, nonce, faults_),
-                                threaded.simulate_round(messages_, nonce, faults_));
+            expect_equal_rounds(simulate_faulty(serial, messages_, nonce, faults_),
+                                simulate_faulty(threaded, messages_, nonce, faults_));
         }
     }
 }
@@ -322,7 +335,7 @@ TEST_F(TransportEquivalence, CodesAndCodewordsBuiltOncePerRound) {
     // Re-simulating the same round (same messages + nonce, faults included)
     // must not regenerate any code, codeword, or encoding.
     transport.simulate_round(messages_, 0);
-    transport.simulate_round(messages_, 0, faults_);
+    simulate_faulty(transport, messages_, 0, faults_);
     stats = transport.codebook().stats();
     EXPECT_EQ(stats.code_builds, 1u);
     EXPECT_EQ(stats.round_builds, 1u);
@@ -353,6 +366,45 @@ TEST(TdmaEquivalence, ThreadCountDoesNotChangeOutputs) {
     for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
         expect_equal_rounds(serial.simulate_round(messages, nonce),
                             threaded.simulate_round(messages, nonce));
+    }
+}
+
+// Golden fingerprints of TdmaTransport rounds, captured at commit b2c8358
+// from its TransportRound-building decode (before it wrote TransportBatch
+// records).
+constexpr std::uint64_t kGoldenTdmaNoiseless = 0xd12bcc38ec8d6cd3ULL;
+constexpr std::uint64_t kGoldenTdmaNoisy = 0xfcbd1967dae061e3ULL;
+
+TEST(TdmaEquivalence, GoldenFingerprints) {
+    // Messages shorter than message_bits exercise the zero-padding of
+    // delivered records. The noiseless configuration delivers every message
+    // exactly; the noisy one (three repetitions at eps = 0.2) misdecodes
+    // about a quarter of the nodes' deliveries, so corrupted records and
+    // the mismatch counter enter the digest too.
+    Rng rng(13);
+    const Graph g = make_erdos_renyi(28, 0.2, rng);
+    const auto messages = make_messages(g, 7, 21);
+    std::vector<RoundSpec> specs;
+    for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
+        specs.push_back(RoundSpec{&messages, nonce, nullptr});
+    }
+    const auto digest = [&](double epsilon, std::size_t repetitions, std::size_t threads) {
+        TdmaParams params;
+        params.epsilon = epsilon;
+        params.message_bits = 9;
+        params.repetitions = repetitions;
+        params.threads = threads;
+        const TdmaTransport transport(g, params);
+        std::uint64_t h = 0;
+        for (const auto& round : transport.simulate_rounds(specs)) {
+            h = mix64(h ^ fingerprint(round));
+        }
+        return h;
+    };
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        EXPECT_EQ(digest(0.0, 1, threads), kGoldenTdmaNoiseless);
+        EXPECT_EQ(digest(0.2, 3, threads), kGoldenTdmaNoisy);
     }
 }
 
