@@ -5,6 +5,7 @@
 // nearest-codeword decoding, and a full Algorithm 1 round.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -37,16 +38,55 @@ void BM_BitstringOr(benchmark::State& state) {
 }
 BENCHMARK(BM_BitstringOr)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
-void BM_NoiseInjection(benchmark::State& state) {
+// Channel noise on a 2^16-bit transcript at the perfbench workloads' rates
+// (second arg: epsilon in thousandths), each gap from the libm formula
+// (BM_NoiseInjection) or from a GeometricSkip built outside the timed loop
+// (BM_NoiseInjectionTable). Both take the same draws and flip the same
+// bits; items are draws (flips + 1 per transcript), so ns per draw is
+// 1e9 / items_per_second.
+void noise_injection(benchmark::State& state, bool table) {
     const auto bits = static_cast<std::size_t>(state.range(0));
+    const double epsilon = static_cast<double>(state.range(1)) / 1000.0;
+    const GeometricSkip skip(epsilon);
     Rng rng(2);
+    std::int64_t draws = 0;
     for (auto _ : state) {
         Bitstring s(bits);
-        s.apply_noise(rng, 0.1);
+        if (table) {
+            s.apply_noise(rng, skip);
+        } else {
+            s.apply_noise(rng, epsilon);
+        }
+        draws += static_cast<std::int64_t>(s.count()) + 1;
         benchmark::DoNotOptimize(s);
     }
+    state.SetItemsProcessed(draws);
 }
-BENCHMARK(BM_NoiseInjection)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_NoiseInjection(benchmark::State& state) { noise_injection(state, false); }
+BENCHMARK(BM_NoiseInjection)->Args({1 << 16, 50})->Args({1 << 16, 100});
+
+void BM_NoiseInjectionTable(benchmark::State& state) { noise_injection(state, true); }
+BENCHMARK(BM_NoiseInjectionTable)->Args({1 << 16, 50})->Args({1 << 16, 100});
+
+// One geometric skip per item at p = arg / 10^4, formula (arg 2 = 0) or
+// table (arg 2 = 1): the rows behind GeometricSkip::kMaxTable. At
+// p = 0.002 (arg 20) and below the sampler takes the formula for every draw.
+void BM_GeometricSkipDraw(benchmark::State& state) {
+    const double p = static_cast<double>(state.range(0)) / 10000.0;
+    const bool table = state.range(1) != 0;
+    const GeometricSkip skip(p);
+    const double log1p_neg_p = std::log1p(-p);
+    Rng rng(3);
+    std::uint64_t sum = 0;
+    for (auto _ : state) {
+        sum += table ? skip.sample(rng) : rng.geometric_skip_with(log1p_neg_p);
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GeometricSkipDraw)
+    ->ArgsProduct({{1, 10, 20, 100, 500, 1000, 4500}, {0, 1}});
 
 void BM_BeepCodeword(benchmark::State& state) {
     const BeepCode code(static_cast<std::size_t>(state.range(0)), 256, 3);

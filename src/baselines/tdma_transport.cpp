@@ -44,6 +44,7 @@ TdmaTransport::TdmaTransport(const Graph& graph, TdmaParams params)
     colors_ = params_.shared_coloring ? CodebookCache::instance().coloring(graph_)
                                       : greedy_distance2_coloring(graph_);
     color_count_ = graph_.node_count() == 0 ? 0 : nb::color_count(colors_);
+    noise_skip_ = make_noise_skip(params_.channel_model());
     pool_ = std::make_unique<ThreadPool>(
         ThreadPool::worker_count_for(params_.threads, graph_.node_count()));
 }
@@ -140,7 +141,7 @@ void TdmaTransport::decode_round_into(const ScheduleCache& cache, const RoundSpe
     const std::vector<std::optional<Bitstring>>& messages = *spec.messages;
 
     const Rng round_rng = Rng(params_.transport_seed).derive(0x726f756eu, spec.nonce);
-    const BatchParams channel{params_.channel_model(), false};
+    const BatchParams channel{.channel = params_.channel_model(), .noise_skip = noise_skip_};
     const BatchEngine engine(graph_, channel, round_rng);
     engine.check_schedules(cache.schedules);  // once per round, not per node
 

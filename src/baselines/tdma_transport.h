@@ -112,6 +112,9 @@ private:
     TdmaParams params_;
     std::vector<std::size_t> colors_;
     std::size_t color_count_ = 0;
+    /// The channel's exact gap sampler for the per-round engine; null
+    /// unless the channel flips at one rate.
+    std::shared_ptr<const GeometricSkip> noise_skip_;
     std::unique_ptr<ThreadPool> pool_;
 
     mutable std::mutex cache_mutex_;

@@ -12,6 +12,10 @@ BatchEngine::BatchEngine(const Graph& graph, BatchParams params, Rng rng)
     // noisy too, footnote 2) is the only one supported here.
     require(params_.channel.noise_on_own_beep,
             "BatchEngine: only the paper convention (noise_on_own_beep) is supported");
+    require(!params_.reserved, "BatchEngine: BatchParams::reserved must be false");
+    if (params_.noise_skip == nullptr) {
+        params_.noise_skip = make_noise_skip(params_.channel);
+    }
 }
 
 Bitstring BatchEngine::superimpose(NodeId node, const std::vector<Bitstring>& schedules,
@@ -53,7 +57,7 @@ void BatchEngine::hear_into(NodeId node, const std::vector<Bitstring>& schedules
         // original iid path did, so iid outputs are bit-identical and every
         // node's noise stays independent of evaluation order.
         ChannelNoiseSampler noise(params_.channel, node, rng_.derive(0x6e6f6973u, node));
-        noise.apply(out, params_.dense_noise);
+        noise.apply(out, params_.noise_skip.get());
     }
 }
 

@@ -4,16 +4,20 @@
 // its beep pattern for the whole phase is a fixed bitstring. The engine
 // computes each node's heard transcript as the word-parallel OR of its
 // neighbors' schedules and injects channel noise with geometric skip
-// sampling, which makes large (n, Delta) sweeps feasible.
+// sampling (table-driven, GeometricSkip, at a single iid rate), which makes
+// large (n, Delta) sweeps feasible.
 //
-// Semantics are identical to running the same schedules on RoundEngine
-// (property-tested): bit i of the result is what the node receives in round i
-// under the paper's conventions (own beeps count as received 1s, noise flips
-// each received bit independently with probability epsilon).
+// Semantics are those of running the same schedules on RoundEngine: bit i
+// of the result is what the node receives in round i under the paper's
+// conventions (own beeps count as received 1s, noise flips each received
+// bit independently with probability epsilon). The superimposition and the
+// per-node noise streams are pinned against RoundEngine bit for bit by
+// tests that replay the stream through ChannelNoiseSampler::flip_next.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "beep/channel_model.h"
@@ -29,11 +33,16 @@ struct BatchParams {
     /// exempt own-beep rounds without tracking them per bit.
     ChannelModel channel;
 
-    /// If true, iid/heterogeneous noise consumes one Bernoulli draw per bit
-    /// (matching RoundEngine's draw pattern exactly, for cross-validation);
-    /// if false, the geometric skip sampler is used (same distribution,
-    /// O(#flips) expected work). Stateful models are inherently dense.
-    bool dense_noise = false;
+    /// Reserved; must stay false. The slot of the removed per-bit noise
+    /// switch, kept so the positional initializer `BatchParams{model, false}`
+    /// in perfbench/nb_perfbench.cpp still compiles.
+    bool reserved = false;
+
+    /// The exact gap sampler for the channel's one flip rate
+    /// (make_noise_skip). An owner that creates engines round after round
+    /// builds it once and passes it here; when it is null the engine builds
+    /// its own. Either way the noise is the formula's, draw for draw.
+    std::shared_ptr<const GeometricSkip> noise_skip;
 };
 
 class BatchEngine {

@@ -178,6 +178,20 @@ std::string ChannelModel::describe() const {
     return buffer;
 }
 
+std::shared_ptr<const GeometricSkip> make_noise_skip(const ChannelModel& model) {
+    double epsilon = 0.0;
+    if (model.kind == ChannelModelKind::iid) {
+        epsilon = model.epsilon;
+    } else if (model.kind == ChannelModelKind::heterogeneous &&
+               model.het_epsilon_min == model.het_epsilon_max) {
+        epsilon = model.het_epsilon_min;
+    }
+    if (epsilon <= 0.0) {
+        return nullptr;
+    }
+    return std::make_shared<const GeometricSkip>(epsilon);
+}
+
 ChannelNoiseSampler::ChannelNoiseSampler(const ChannelModel& model, std::uint64_t node,
                                          Rng rng)
     : model_(model), rng_(rng) {
@@ -225,16 +239,16 @@ bool ChannelNoiseSampler::flip_next(bool received) {
     return false;
 }
 
-void ChannelNoiseSampler::apply(Bitstring& transcript, bool dense) {
+void ChannelNoiseSampler::apply(Bitstring& transcript, const GeometricSkip* skip) {
     fp_channel_sample.check();
     switch (model_.kind) {
         case ChannelModelKind::iid:
         case ChannelModelKind::heterogeneous:
-            // The exact code path the original hard-wired iid noise used —
-            // same rng, same sampler — so iid outputs are bit-identical to
-            // the pre-ChannelModel implementation.
-            if (dense) {
-                transcript.apply_noise_dense(rng_, epsilon_);
+            // The original hard-wired iid path's rng and gap sampler; the
+            // table returns the formula's skip for every draw, so iid
+            // outputs stay bit-identical to the pre-ChannelModel engines.
+            if (skip != nullptr && skip->p() == epsilon_) {
+                transcript.apply_noise(rng_, *skip);
             } else {
                 transcript.apply_noise(rng_, epsilon_);
             }

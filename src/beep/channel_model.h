@@ -34,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "beep/channel.h"
@@ -121,6 +122,12 @@ struct ChannelModel {
     bool operator==(const ChannelModel& other) const noexcept = default;
 };
 
+/// The exact table sampler for a model whose every flip is Bernoulli at one
+/// rate > 0 — iid, or heterogeneous with epsilon_min == epsilon_max — and
+/// nullptr for any other model. Built once per transport and shared by
+/// every engine it creates (BatchParams::noise_skip).
+std::shared_ptr<const GeometricSkip> make_noise_skip(const ChannelModel& model);
+
 /// Per-node noise process instance. Engines create one sampler per listening
 /// node from the node's derived noise stream and either consume it bit by
 /// bit (RoundEngine) or apply it to a whole transcript (BatchEngine). For
@@ -138,12 +145,13 @@ public:
     /// round in round order.
     bool flip_next(bool received);
 
-    /// Apply the whole-transcript noise process in place. For iid and
-    /// heterogeneous, `dense` selects one Bernoulli draw per bit (matching
-    /// flip_next exactly) versus the geometric-skip sampler (same
-    /// distribution, O(#flips) expected work). Stateful models are always
-    /// dense. Must be used on a fresh sampler (transcript == bits 0..n).
-    void apply(Bitstring& transcript, bool dense);
+    /// Apply the whole-transcript noise process in place. iid and
+    /// heterogeneous draw geometric gaps (O(#flips) expected work), from
+    /// `skip` when it is the exact sampler for this node's rate and from the
+    /// formula otherwise — the same draws and flips either way. Stateful
+    /// models walk flip_next bit by bit. Must be used on a fresh sampler
+    /// (transcript == bits 0..n).
+    void apply(Bitstring& transcript, const GeometricSkip* skip = nullptr);
 
 private:
     ChannelModel model_;  ///< by value: temporaries at the call site are fine

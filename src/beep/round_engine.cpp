@@ -21,10 +21,9 @@ RunStats RoundEngine::run(std::vector<std::unique_ptr<BeepAlgorithm>>& nodes,
     const NetworkInfo info{n, graph_.max_degree()};
     // Private per-node randomness, independent of the channel-noise streams.
     // Noise comes from one ChannelNoiseSampler per node, seeded from the
-    // node's derived stream, so that an oblivious schedule run here produces
-    // bit-identical noise to BatchEngine in dense mode (see
-    // BatchParams::dense_noise); stateful models (burst phase, adversary
-    // budget) keep their state inside the sampler.
+    // node's derived stream — the stream BatchEngine draws its gaps from —
+    // one flip_next per received bit; stateful models (burst phase,
+    // adversary budget) keep their state inside the sampler.
     std::vector<Rng> node_rngs;
     std::vector<ChannelNoiseSampler> samplers;
     node_rngs.reserve(n);

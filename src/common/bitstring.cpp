@@ -312,41 +312,38 @@ void Bitstring::scatter_into(std::size_t size, std::span<const std::size_t> posi
     });
 }
 
-void Bitstring::apply_noise(Rng& rng, double epsilon) {
-    require(epsilon >= 0.0 && epsilon < 1.0, "Bitstring::apply_noise: epsilon must be in [0, 1)");
-    if (epsilon == 0.0 || size_ == 0) {
-        return;
-    }
-    // Walk the geometric gaps between flipped positions; this is an exact
-    // sample of the i.i.d. Bernoulli(epsilon) flip process in O(#flips).
-    // The skip denominator is a loop invariant — hoist the logarithm.
-    const double log1p_neg_eps = std::log1p(-epsilon);
+namespace {
+
+// Flip the bit after each geometric gap next_skip() draws: an exact sample
+// of the i.i.d. Bernoulli(epsilon) flip process in O(#flips). The draw that
+// overshoots the end is the last one taken.
+template <typename NextSkip>
+void flip_at_gaps(std::vector<std::uint64_t>& words, std::size_t size, NextSkip next_skip) {
     std::size_t position = 0;
-    while (true) {
-        const std::uint64_t skip = rng.geometric_skip_with(log1p_neg_eps);
-        if (skip >= size_ || position + skip >= size_) {
-            break;
+    while (position < size) {
+        const std::uint64_t skip = next_skip();
+        if (skip >= size - position) {
+            return;
         }
         position += static_cast<std::size_t>(skip);
-        flip(position);
+        words[position / bits_per_word] ^= std::uint64_t{1} << (position % bits_per_word);
         ++position;
-        if (position >= size_) {
-            break;
-        }
     }
 }
 
-void Bitstring::apply_noise_dense(Rng& rng, double epsilon) {
-    require(epsilon >= 0.0 && epsilon < 1.0,
-            "Bitstring::apply_noise_dense: epsilon must be in [0, 1)");
+}  // namespace
+
+void Bitstring::apply_noise(Rng& rng, double epsilon) {
+    require(epsilon >= 0.0 && epsilon < 1.0, "Bitstring::apply_noise: epsilon must be in [0, 1)");
     if (epsilon == 0.0) {
         return;
     }
-    for (std::size_t i = 0; i < size_; ++i) {
-        if (rng.bernoulli(epsilon)) {
-            flip(i);
-        }
-    }
+    const double log1p_neg_eps = std::log1p(-epsilon);
+    flip_at_gaps(words_, size_, [&] { return rng.geometric_skip_with(log1p_neg_eps); });
+}
+
+void Bitstring::apply_noise(Rng& rng, const GeometricSkip& skip) {
+    flip_at_gaps(words_, size_, [&] { return skip.sample(rng); });
 }
 
 std::string Bitstring::to_string() const {

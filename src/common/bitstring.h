@@ -190,10 +190,10 @@ public:
     /// beeping channel. Uses geometric skip sampling: O(#flips) expected work.
     void apply_noise(Rng& rng, double epsilon);
 
-    /// Same flip distribution but consuming exactly one Bernoulli draw per
-    /// bit, matching RoundEngine's per-round draws; used to cross-validate
-    /// the two beep engines bit-for-bit.
-    void apply_noise_dense(Rng& rng, double epsilon);
+    /// apply_noise(rng, skip.p()) with each gap drawn from the exact table
+    /// sampler: the same draws and the same flips, without a logarithm per
+    /// flip.
+    void apply_noise(Rng& rng, const GeometricSkip& skip);
 
     /// In-place OR of another bitstring, word-parallel (superimposition).
     void superimpose(const Bitstring& other) { *this |= other; }

@@ -94,8 +94,13 @@ std::uint64_t Rng::geometric_skip(double p) {
 }
 
 std::uint64_t Rng::geometric_skip_with(double log1p_neg_p) noexcept {
-    // Inverse-CDF sampling: floor(log(U) / log(1 - p)) with U in (0, 1].
-    double u = next_double();
+    return geometric_skip_of(next_u64() >> 11, log1p_neg_p);
+}
+
+std::uint64_t Rng::geometric_skip_of(std::uint64_t draw, double log1p_neg_p) noexcept {
+    // Inverse-CDF sampling: floor(log(U) / log(1 - p)) with U in (0, 1],
+    // U = the next_double() of the draw, and a zero draw read as 2^-53.
+    double u = static_cast<double>(draw) * 0x1.0p-53;
     if (u <= 0.0) {
         u = 0x1.0p-53;
     }
@@ -104,6 +109,70 @@ std::uint64_t Rng::geometric_skip_with(double log1p_neg_p) noexcept {
         return UINT64_MAX;
     }
     return static_cast<std::uint64_t>(skip);
+}
+
+GeometricSkip::GeometricSkip(double p)
+    : p_(p), log1p_neg_p_(std::log1p(-p)), formula_below_(std::uint64_t{1} << 53) {
+    require(p > 0.0 && p < 1.0, "GeometricSkip: p must be in (0, 1)");
+    const double log1p_neg_p = log1p_neg_p_;
+    const auto skip = [log1p_neg_p](std::uint64_t draw) {
+        return Rng::geometric_skip_of(draw, log1p_neg_p);
+    };
+    // Bucket 0 keeps the formula, so the table needs every skip a draw of
+    // at least 2^41 can take: 0 .. skip(2^41).
+    const std::uint64_t deepest = skip(std::uint64_t{1} << kBucketShift);
+    if (deepest >= kMaxTable) {
+        return;
+    }
+    constexpr std::uint64_t kDrawMax = (std::uint64_t{1} << 53) - 1;
+    bound_.resize(static_cast<std::size_t>(deepest) + 1);
+    for (std::uint64_t k = 0; k <= deepest; ++k) {
+        // skip(m) <= k exactly when 2^-53 m > (1 - p)^(k + 1), up to the
+        // rounding of log, the divide and exp, which moves the boundary by
+        // a few draws at most. Gallop out from the closed-form estimate
+        // until [lo, hi] brackets it, then bisect with the formula itself.
+        const auto above = [&](std::uint64_t draw) { return skip(draw) > k; };
+        const double estimate =
+            std::ceil(0x1.0p53 * std::exp(static_cast<double>(k + 1) * log1p_neg_p));
+        const std::uint64_t start = std::min(static_cast<std::uint64_t>(estimate), kDrawMax);
+        std::uint64_t lo = start;
+        std::uint64_t hi = start;
+        std::uint64_t step = 1;
+        if (above(start)) {
+            do {
+                lo = hi;
+                hi = std::min(start + step, kDrawMax);
+                step *= 2;
+            } while (hi < kDrawMax && above(hi));
+        } else {
+            do {
+                hi = lo;
+                lo = start > step ? start - step : 0;
+                step *= 2;
+            } while (lo > 0 && !above(lo));
+            if (lo == 0 && !above(0)) {
+                hi = 0;  // every draw's skip is <= k
+            }
+        }
+        while (hi - lo > 1) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            (above(mid) ? lo : hi) = mid;
+        }
+        bound_[k] = hi;
+    }
+    // guide[b] = skip of bucket b's top draw = min{k : top >= bound[k]}.
+    // Both sequences are monotone, so one merge walk fills it.
+    guide_.resize(std::size_t{1} << (53 - kBucketShift));
+    std::size_t k = bound_.size() - 1;
+    guide_[0] = static_cast<std::uint16_t>(k);
+    for (std::size_t b = 1; b < guide_.size(); ++b) {
+        const std::uint64_t top = ((std::uint64_t{b} + 1) << kBucketShift) - 1;
+        while (k > 0 && top >= bound_[k - 1]) {
+            --k;
+        }
+        guide_[b] = static_cast<std::uint16_t>(k);
+    }
+    formula_below_ = std::uint64_t{1} << kBucketShift;
 }
 
 std::vector<std::size_t> Rng::distinct_positions(std::size_t universe, std::size_t count) {

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace nb {
@@ -48,9 +49,16 @@ public:
     std::uint64_t geometric_skip(double p);
 
     /// geometric_skip(p) with the denominator log1p(-p) precomputed by the
-    /// caller. Hot loops drawing many skips at one p hoist the logarithm;
-    /// draws and arithmetic are identical to geometric_skip(p).
+    /// caller. Draws and arithmetic are identical to geometric_skip(p); hot
+    /// loops at one fixed p use GeometricSkip, which returns the same skips
+    /// without the logarithm.
     std::uint64_t geometric_skip_with(double log1p_neg_p) noexcept;
+
+    /// The skip geometric_skip_with returns for the 53-bit draw `draw`
+    /// (next_u64() >> 11): floor(log(u) / log1p_neg_p) with
+    /// u = max(draw, 1) * 2^-53, saturating at UINT64_MAX.
+    static std::uint64_t geometric_skip_of(std::uint64_t draw,
+                                           double log1p_neg_p) noexcept;
 
     /// `count` distinct positions sampled uniformly from [0, universe),
     /// returned sorted ascending (Floyd's algorithm). The reference for
@@ -85,6 +93,66 @@ public:
 
 private:
     std::array<std::uint64_t, 4> state_{};
+};
+
+/// Exact table-driven Geometric(p) sampler for one fixed p: sample(rng)
+/// consumes exactly one next_u64() and returns exactly what
+/// rng.geometric_skip(p) returns for that draw, so a stream sampled either
+/// way is bit-identical. The skip is non-increasing in the 53-bit draw m,
+/// so skip(m) = min{k : m >= bound[k]} with bound[k] the smallest draw
+/// whose skip is <= k. A guide table over the draw's top 12 bits starts the
+/// search at the skip of the bucket's top draw; the draw then walks up
+/// `bound` (about one compare at the rates the table serves). Bucket 0
+/// (draws below 2^41, probability 2^-12) keeps the libm formula, which
+/// bounds the table at skip(2^41) + 1 ~ 8.3 / p entries; rates whose table
+/// would exceed kMaxTable entries take the formula for every draw (see
+/// DESIGN.md section 6).
+class GeometricSkip {
+public:
+    /// Builds the tables: a bracketed binary search per bound entry around
+    /// the closed form 2^53 (1 - p)^(k + 1), then a merge walk for the
+    /// guide. Precondition: 0 < p < 1.
+    explicit GeometricSkip(double p);
+
+    double p() const noexcept { return p_; }
+
+    /// One Geometric(p) skip from one next_u64().
+    std::uint64_t sample(Rng& rng) const noexcept { return skip_of(rng.next_u64() >> 11); }
+
+    /// The skip for one 53-bit draw; equals Rng::geometric_skip_of(draw,
+    /// log1p(-p)) for every draw in [0, 2^53).
+    std::uint64_t skip_of(std::uint64_t draw) const noexcept {
+        if (draw < formula_below_) {
+            return Rng::geometric_skip_of(draw, log1p_neg_p_);
+        }
+        std::uint64_t k = guide_[draw >> kBucketShift];
+        while (draw < bound_[k]) {
+            ++k;
+        }
+        return k;
+    }
+
+    /// bound[k] for every tabulated skip k; empty when p is too small for
+    /// the table to win.
+    std::span<const std::uint64_t> bounds() const noexcept { return bound_; }
+
+    /// The largest table: p above ~0.00203, 32 KB of bounds plus the 8 KB
+    /// guide, a build under ~0.3 ms. At smaller p the per-draw gain
+    /// shrinks (15 ns against the formula's 21 ns at 8314 entries, p =
+    /// 0.001; a loss past ~16K entries) while the table and its
+    /// ~55 ns-per-entry build grow as 1/p. BM_GeometricSkipDraw in
+    /// bench_e14_micro records the rows.
+    static constexpr std::size_t kMaxTable = 4096;
+
+    /// The guide's bucket of a 53-bit draw is its top 12 bits.
+    static constexpr int kBucketShift = 41;
+
+private:
+    double p_;
+    double log1p_neg_p_;
+    std::uint64_t formula_below_;      ///< draws below this take the formula
+    std::vector<std::uint64_t> bound_;  ///< non-increasing
+    std::vector<std::uint16_t> guide_;  ///< 4096 buckets; [0] unused
 };
 
 }  // namespace nb

@@ -113,26 +113,29 @@ Graph make_erdos_renyi(std::size_t n, double p, Rng& rng) {
             return make_complete(n);
         }
         // Geometric skipping over the lexicographic pair order: expected
-        // O(p * n^2) work rather than n^2 Bernoulli draws.
+        // O(p * n^2) draws rather than n^2 Bernoulli draws, each gap from
+        // one table sampler (no logarithm per edge).
+        const GeometricSkip gap(p);
         const std::size_t total_pairs = n * (n - 1) / 2;
+        // Pair index -> (u, v): row u holds the n-1-u pairs (u, u+1..n-1)
+        // and starts at index row_start. The index only grows, so the row
+        // cursor only moves forward: O(n + m) decoding per graph.
+        NodeId u = 0;
+        std::size_t row_start = 0;
+        std::size_t row = n - 1;
         std::size_t index = 0;
         while (true) {
-            const std::uint64_t skip = rng.geometric_skip(p);
-            if (skip >= total_pairs || index + skip >= total_pairs) {
+            const std::uint64_t skip = gap.sample(rng);
+            if (skip >= total_pairs - index) {
                 break;
             }
             index += static_cast<std::size_t>(skip);
-            // Decode pair index -> (u, v): u-th row block of size n-1-u.
-            std::size_t remaining = index;
-            NodeId u = 0;
-            std::size_t row = n - 1;
-            while (remaining >= row) {
-                remaining -= row;
+            while (index - row_start >= row) {
+                row_start += row;
                 --row;
                 ++u;
             }
-            const auto v = static_cast<NodeId>(u + 1 + remaining);
-            edges.push_back(Edge{u, v});
+            edges.push_back(Edge{u, static_cast<NodeId>(u + 1 + (index - row_start))});
             ++index;
             if (index >= total_pairs) {
                 break;

@@ -147,28 +147,40 @@ void Server::accept_loop() {
         if (ready <= 0 || (fds[0].revents & POLLIN) == 0) {
             continue;
         }
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            continue;
-        }
-        try {
-            fp_serve_accept.check();
-        } catch (...) {
-            // Injected accept fault: drop the connection before reading a
-            // byte. The client observes EOF — transient by contract.
-            ::close(fd);
-            continue;
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++counters_.connections;
-        connection_fds_.push_back(fd);
-        connections_.emplace_back(&Server::serve_connection, this, fd);
+        accept_connection();
     }
-    // Drain step 1: close the listening socket and remove its path, so new
-    // connections fail at connect() rather than queueing behind a drain.
+    // Drain step 1: clients still in the listen backlog connected before
+    // the drain; accept them so their requests answer `rejected:draining`
+    // instead of dying with the listener. Then close the listening socket
+    // and remove its path, so new connections fail at connect() rather than
+    // queueing behind a drain.
+    pollfd backlog{listen_fd_, POLLIN, 0};
+    while (::poll(&backlog, 1, 0) > 0 && (backlog.revents & POLLIN) != 0 &&
+           accept_connection()) {
+    }
     ::close(listen_fd_);
     listen_fd_ = -1;
     ::unlink(config_.socket_path.c_str());
+}
+
+bool Server::accept_connection() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) {
+        return false;
+    }
+    try {
+        fp_serve_accept.check();
+    } catch (...) {
+        // Injected accept fault: drop the connection before reading a
+        // byte. The client observes EOF — transient by contract.
+        ::close(fd);
+        return true;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.connections;
+    connection_fds_.push_back(fd);
+    connections_.emplace_back(&Server::serve_connection, this, fd);
+    return true;
 }
 
 void Server::wait() {
@@ -177,13 +189,13 @@ void Server::wait() {
     }
     require(draining_.load(), "serve: wait() before request_drain()");
     acceptor_.join();
+    const auto grace = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::duration<double>(std::max(0.0, config_.drain_seconds)));
 
     // Drain step 2: the grace period. In-flight and queued jobs may finish
     // normally until drain_seconds elapse.
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        const auto grace = std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::duration<double>(std::max(0.0, config_.drain_seconds)));
         const bool idle = idle_cv_.wait_for(
             lock, grace, [&] { return queue_.empty() && running_ == 0; });
         if (!idle) {
@@ -204,12 +216,21 @@ void Server::wait() {
     }
     executors_.clear();
 
-    // Every pending submit is answered; wake connection threads blocked in
-    // recv so they observe EOF and exit.
+    // Drain step 4: every job is answered, but a connection thread may not
+    // have written its answer yet, or read a request line already buffered.
+    // Closing only the read side wakes threads blocked in recv (EOF) while
+    // those answers still go out; a client that stops reading could block a
+    // write forever, so after another grace period the write side closes
+    // too.
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
         for (const int fd : connection_fds_) {
-            ::shutdown(fd, SHUT_RDWR);
+            ::shutdown(fd, SHUT_RD);
+        }
+        if (!idle_cv_.wait_for(lock, grace, [&] { return connection_fds_.empty(); })) {
+            for (const int fd : connection_fds_) {
+                ::shutdown(fd, SHUT_RDWR);
+            }
         }
     }
     for (auto& connection : connections_) {
@@ -242,10 +263,12 @@ void Server::serve_connection(int fd) {
             break;
         }
     }
-    ::close(fd);
+    // Closed under the lock, so wait() never shuts down a reused fd number.
     std::lock_guard<std::mutex> lock(mutex_);
     connection_fds_.erase(std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
                           connection_fds_.end());
+    ::close(fd);
+    idle_cv_.notify_all();
 }
 
 std::string Server::handle_request(const std::string& line) {

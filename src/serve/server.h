@@ -139,6 +139,9 @@ private:
     struct Connection;
 
     void accept_loop();
+    /// Accept one pending connection and start its thread; false when
+    /// accept() fails.
+    bool accept_connection();
     void executor_loop();
     void serve_connection(int fd);
     std::string handle_request(const std::string& line);
@@ -158,7 +161,7 @@ private:
 
     mutable std::mutex mutex_;               ///< queue + counters + connection registry
     std::condition_variable queue_cv_;       ///< executors wait here
-    std::condition_variable idle_cv_;        ///< wait() waits here
+    std::condition_variable idle_cv_;        ///< wait() waits here (jobs, connections)
     std::deque<std::shared_ptr<Job>> queue_;
     std::size_t running_ = 0;
     std::vector<int> connection_fds_;

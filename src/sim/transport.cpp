@@ -42,6 +42,7 @@ BeepTransport::BeepTransport(const Graph& graph, SimulationParams params)
         owned_codebook_ = std::make_unique<Codebook>(graph_, params_);
         codebook_ = owned_codebook_.get();
     }
+    noise_skip_ = make_noise_skip(params_.channel_model());
     pool_ = std::make_unique<ThreadPool>(
         ThreadPool::worker_count_for(params_.threads, graph_.node_count()));
 }
@@ -122,7 +123,7 @@ void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundS
     // The physical channel: iid(params_.epsilon) by default, or whatever
     // ChannelModel the params carry. Decoder thresholds below keep using the
     // design epsilon regardless of the physical model.
-    const BatchParams channel{params_.channel_model(), false};
+    const BatchParams channel{.channel = params_.channel_model(), .noise_skip = noise_skip_};
     const BatchEngine phase1_engine(graph_, channel, round.rng.derive(0x70683161u));
     const BatchEngine phase2_engine(graph_, channel, round.rng.derive(0x70683262u));
     // Schedule sets are validated once per round here, not once per node

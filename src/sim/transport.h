@@ -152,6 +152,9 @@ private:
     std::shared_ptr<const SharedCodebook> shared_codebook_;  ///< cache-owned
     std::unique_ptr<Codebook> owned_codebook_;               ///< private build
     const Codebook* codebook_ = nullptr;  ///< whichever of the two is active
+    /// The physical channel's exact gap sampler, handed to both per-round
+    /// engines; null unless the channel flips at one rate.
+    std::shared_ptr<const GeometricSkip> noise_skip_;
     std::unique_ptr<ThreadPool> pool_;
 };
 

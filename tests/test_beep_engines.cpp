@@ -1,5 +1,6 @@
 // Tests for the two beeping-network engines, including the bit-exact
-// equivalence property between RoundEngine and BatchEngine (dense noise).
+// equivalence property between RoundEngine and BatchEngine's
+// superimposition replayed through the per-bit noise sampler.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -169,8 +170,11 @@ TEST(ChannelParams, ValidatesEpsilon) {
     EXPECT_THROW(negative.validate(), precondition_error);
 }
 
-/// Property: playing schedules through RoundEngine matches BatchEngine in
-/// dense-noise mode bit for bit (same base seed), across graphs and noise.
+/// Property: playing schedules through RoundEngine matches BatchEngine's
+/// superimposition with the node's derived noise stream replayed one
+/// flip_next per bit (same base seed), across graphs and noise; and
+/// BatchEngine's own transcript is the same superimposition with that
+/// stream drawn as geometric gaps.
 class EngineEquivalence : public ::testing::TestWithParam<std::tuple<int, double>> {};
 
 TEST_P(EngineEquivalence, BatchMatchesRound) {
@@ -196,7 +200,6 @@ TEST_P(EngineEquivalence, BatchMatchesRound) {
     // Batch side.
     BatchParams params;
     params.channel.epsilon = epsilon;
-    params.dense_noise = true;
     const BatchEngine batch(g, params, base);
 
     // Round side.
@@ -212,7 +215,21 @@ TEST_P(EngineEquivalence, BatchMatchesRound) {
     round_engine.run(nodes, length);
 
     for (NodeId v = 0; v < g.node_count(); ++v) {
-        EXPECT_EQ(players[v]->heard(), batch.hear(v, schedules))
+        const Bitstring superimposed = batch.superimpose(v, schedules);
+        Bitstring per_bit = superimposed;
+        ChannelNoiseSampler noise(params.channel, v, base.derive(0x6e6f6973u, v));
+        for (std::size_t i = 0; i < length; ++i) {
+            if (noise.flip_next(per_bit.test(i))) {
+                per_bit.flip(i);
+            }
+        }
+        EXPECT_EQ(players[v]->heard(), per_bit)
+            << "node " << v << " graph " << graph_id << " eps " << epsilon;
+
+        Bitstring gaps = superimposed;
+        Rng stream = base.derive(0x6e6f6973u, v);
+        gaps.apply_noise(stream, epsilon);
+        EXPECT_EQ(batch.hear(v, schedules), gaps)
             << "node " << v << " graph " << graph_id << " eps " << epsilon;
     }
 }

@@ -273,15 +273,42 @@ TEST(Bitstring, NoiseFlipRateMatchesEpsilon) {
 }
 
 TEST(Bitstring, DenseNoiseFlipRateMatchesEpsilon) {
-    Rng rng(100);
+    // The per-bit reference (one Bernoulli draw per bit) and the table gap
+    // sampler both flip at rate epsilon.
     const std::size_t bits = 100000;
     const double epsilon = 0.25;
-    Bitstring s(bits);
-    const Bitstring before = s;
-    s.apply_noise_dense(rng, epsilon);
-    const double rate = static_cast<double>(s.hamming_distance(before)) /
-                        static_cast<double>(bits);
-    EXPECT_NEAR(rate, epsilon, 0.01);
+    Rng dense_rng(100);
+    Bitstring dense(bits);
+    for (std::size_t i = 0; i < bits; ++i) {
+        if (dense_rng.bernoulli(epsilon)) {
+            dense.flip(i);
+        }
+    }
+    Rng table_rng(101);
+    Bitstring table(bits);
+    table.apply_noise(table_rng, GeometricSkip(epsilon));
+    const auto rate = [bits](const Bitstring& s) {
+        return static_cast<double>(s.count()) / static_cast<double>(bits);
+    };
+    EXPECT_NEAR(rate(dense), epsilon, 0.01);
+    EXPECT_NEAR(rate(table), epsilon, 0.01);
+}
+
+TEST(Bitstring, TableNoiseMatchesFormulaNoise) {
+    // Same stream, same flips, and the same number of draws taken.
+    for (const double epsilon : {0.01, 0.1, 0.45}) {
+        for (const std::size_t bits : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                                       std::size_t{64}, std::size_t{5000}}) {
+            Rng formula_rng(bits + 7);
+            Rng table_rng(bits + 7);
+            Bitstring formula(bits);
+            Bitstring table(bits);
+            formula.apply_noise(formula_rng, epsilon);
+            table.apply_noise(table_rng, GeometricSkip(epsilon));
+            EXPECT_EQ(formula, table) << "eps " << epsilon << " bits " << bits;
+            EXPECT_EQ(formula_rng.next_u64(), table_rng.next_u64());
+        }
+    }
 }
 
 TEST(Bitstring, NoiseIsUnbiasedAcrossPositions) {

@@ -72,17 +72,49 @@ TEST(ChannelModel, DesignEpsilon) {
 
 TEST(ChannelModel, IidSamplerMatchesLegacyNoisePath) {
     // The sampler must reproduce Bitstring::apply_noise on the same derived
-    // stream — this is the exact hook BatchEngine drives, so equality here
-    // is what keeps every pre-ChannelModel golden fingerprint unchanged.
+    // stream, with or without the table sampler — this is the exact hook
+    // BatchEngine drives, so equality here is what keeps every
+    // pre-ChannelModel golden fingerprint unchanged.
     const Rng base(123);
+    const ChannelModel model = ChannelModel::iid(0.17);
     Bitstring via_sampler(4096);
-    ChannelNoiseSampler sampler(ChannelModel::iid(0.17), 5, base.derive(0x6e6f6973u, 5));
-    sampler.apply(via_sampler, /*dense=*/false);
+    ChannelNoiseSampler sampler(model, 5, base.derive(0x6e6f6973u, 5));
+    sampler.apply(via_sampler);
+
+    const auto skip = make_noise_skip(model);
+    ASSERT_NE(skip, nullptr);
+    EXPECT_FALSE(skip->bounds().empty());
+    Bitstring via_table(4096);
+    ChannelNoiseSampler table_sampler(model, 5, base.derive(0x6e6f6973u, 5));
+    table_sampler.apply(via_table, skip.get());
 
     Bitstring via_legacy(4096);
     Rng legacy = base.derive(0x6e6f6973u, 5);
     via_legacy.apply_noise(legacy, 0.17);
     EXPECT_EQ(via_sampler, via_legacy);
+    EXPECT_EQ(via_table, via_legacy);
+}
+
+TEST(ChannelModel, NoiseSkipOnlyForSingleRateModels) {
+    EXPECT_NE(make_noise_skip(ChannelModel::iid(0.1)), nullptr);
+    EXPECT_EQ(make_noise_skip(ChannelModel::iid(0.0)), nullptr);
+    const auto flat = make_noise_skip(ChannelModel::heterogeneous(0.2, 0.2, 7));
+    ASSERT_NE(flat, nullptr);
+    EXPECT_EQ(flat->p(), 0.2);
+    EXPECT_EQ(make_noise_skip(ChannelModel::heterogeneous(0.05, 0.2, 7)), nullptr);
+    EXPECT_EQ(make_noise_skip(ChannelModel::gilbert_elliott(0.1, 0.2, 0.05, 0.4)), nullptr);
+    EXPECT_EQ(make_noise_skip(ChannelModel::adversarial_budget(3)), nullptr);
+
+    // A sampler built for another rate is ignored: the node's own rate's
+    // formula runs instead, on the same stream.
+    const Rng base(9);
+    Bitstring mismatched(2048);
+    ChannelNoiseSampler sampler(ChannelModel::iid(0.3), 1, base.derive(0x6e6f6973u, 1));
+    sampler.apply(mismatched, flat.get());
+    Bitstring formula(2048);
+    Rng stream = base.derive(0x6e6f6973u, 1);
+    formula.apply_noise(stream, 0.3);
+    EXPECT_EQ(mismatched, formula);
 }
 
 TEST(ChannelModel, GilbertElliottBurstStatistics) {
@@ -95,7 +127,7 @@ TEST(ChannelModel, GilbertElliottBurstStatistics) {
     Bitstring transcript(length);
     ChannelNoiseSampler sampler(ChannelModel::gilbert_elliott(p_enter, p_exit, 0.0, 1.0), 0,
                                 Rng(99));
-    sampler.apply(transcript, /*dense=*/true);
+    sampler.apply(transcript);
 
     std::size_t runs = 0;
     bool previous = false;
@@ -130,7 +162,7 @@ TEST(ChannelModel, HeterogeneousPerNodeRates) {
 
         Bitstring transcript(length);
         ChannelNoiseSampler sampler(model, node, Rng(1000 + node));
-        sampler.apply(transcript, /*dense=*/false);
+        sampler.apply(transcript);
         const double measured =
             static_cast<double>(transcript.count()) / static_cast<double>(length);
         EXPECT_NEAR(measured, expected, 0.012) << "node " << node;
@@ -152,7 +184,7 @@ TEST(ChannelModel, AdversarialBudgetRespected) {
     // them on the earliest 1s, and never an insertion.
     Bitstring damaged = original;
     ChannelNoiseSampler sampler(ChannelModel::adversarial_budget(64), 0, Rng(1));
-    sampler.apply(damaged, /*dense=*/false);
+    sampler.apply(damaged);
     EXPECT_EQ(damaged.count(), ones - 64);
     EXPECT_EQ(damaged.hamming_distance(original), 64u);
     EXPECT_EQ((damaged & ~original).count(), 0u);  // erasures only
@@ -165,7 +197,7 @@ TEST(ChannelModel, AdversarialBudgetRespected) {
     // Budget above the weight: the whole transcript is erased, no more.
     Bitstring wiped = original;
     ChannelNoiseSampler greedy(ChannelModel::adversarial_budget(ones + 1000), 0, Rng(1));
-    greedy.apply(wiped, /*dense=*/false);
+    greedy.apply(wiped);
     EXPECT_EQ(wiped.count(), 0u);
 }
 
@@ -208,7 +240,6 @@ void expect_engines_agree(const ChannelModel& model, std::uint64_t seed) {
     const Rng base(424242);
     BatchParams params;
     params.channel = model;
-    params.dense_noise = true;
     const BatchEngine batch(g, params, base);
 
     std::vector<std::unique_ptr<BeepAlgorithm>> nodes;
@@ -221,9 +252,30 @@ void expect_engines_agree(const ChannelModel& model, std::uint64_t seed) {
     RoundEngine round_engine(g, model, base);
     round_engine.run(nodes, length);
 
+    const bool gap_sampled = model.kind == ChannelModelKind::iid ||
+                             model.kind == ChannelModelKind::heterogeneous;
     for (NodeId v = 0; v < g.node_count(); ++v) {
-        EXPECT_EQ(players[v]->heard(), batch.hear(v, schedules))
-            << model.describe() << " node " << v;
+        // Per-bit reference: the batch superimposition, then one flip_next
+        // per bit on the node's derived noise stream.
+        const Bitstring superimposed = batch.superimpose(v, schedules);
+        Bitstring per_bit = superimposed;
+        ChannelNoiseSampler noise(model, v, base.derive(0x6e6f6973u, v));
+        for (std::size_t i = 0; i < length; ++i) {
+            if (noise.flip_next(per_bit.test(i))) {
+                per_bit.flip(i);
+            }
+        }
+        EXPECT_EQ(players[v]->heard(), per_bit) << model.describe() << " node " << v;
+
+        // The batch engine draws the same stream per bit for stateful
+        // models and as geometric gaps (the formula's) for the rate models.
+        Bitstring expected = per_bit;
+        if (gap_sampled) {
+            expected = superimposed;
+            Rng stream = base.derive(0x6e6f6973u, v);
+            expected.apply_noise(stream, model.node_epsilon(v));
+        }
+        EXPECT_EQ(batch.hear(v, schedules), expected) << model.describe() << " node " << v;
     }
 }
 

@@ -131,6 +131,38 @@ TEST(Generators, ErdosRenyiExtremes) {
     EXPECT_EQ(make_erdos_renyi(10, 1.0, rng).edge_count(), 45u);
 }
 
+TEST(Generators, ErdosRenyiEdgeListsArePinned) {
+    // FNV-1a over the canonical edge list plus the generator's next draw,
+    // recorded from the per-draw-logarithm, row-walk-from-zero decoder:
+    // the table sampler and the forward row cursor change neither the
+    // edges nor the number of draws taken.
+    const auto edge_hash = [](const Graph& g) {
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (const Edge& e : g.edges()) {
+            for (const std::uint64_t x : {std::uint64_t{e.first}, std::uint64_t{e.second}}) {
+                h ^= x;
+                h *= 0x100000001b3ULL;
+            }
+        }
+        return h;
+    };
+    struct Case {
+        std::size_t n;
+        double p;
+        std::size_t edges;
+        std::uint64_t hash;
+        std::uint64_t next_draw;
+    };
+    for (const Case& c : {Case{2000, 0.01, 19967, 0x68d15471b9994b71ULL, 0x30b5a100a048a0ffULL},
+                          Case{300, 0.3, 13321, 0x43295bae2468c3b5ULL, 0x6d07b93e8c59f3c4ULL}}) {
+        Rng rng(17);
+        const Graph g = make_erdos_renyi(c.n, c.p, rng);
+        EXPECT_EQ(g.edge_count(), c.edges) << "n=" << c.n;
+        EXPECT_EQ(edge_hash(g), c.hash) << "n=" << c.n;
+        EXPECT_EQ(rng.next_u64(), c.next_draw) << "n=" << c.n;
+    }
+}
+
 TEST(Generators, RandomRegularDegreeCap) {
     Rng rng(8);
     const Graph g = make_random_regular(50, 4, rng);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <set>
 
 #include "common/error.h"
@@ -110,6 +112,76 @@ TEST(Rng, GeometricSkipOneIsZero) {
     Rng rng(23);
     EXPECT_EQ(rng.geometric_skip(1.0), 0u);
     EXPECT_THROW(rng.geometric_skip(0.0), precondition_error);
+}
+
+// Rates on both sides of GeometricSkip::kMaxTable: 1e-4 and 1e-3 take the
+// formula for every draw, the rest are tabulated.
+constexpr double kSkipRates[] = {1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45};
+
+TEST(GeometricSkip, TablesFollowTheCap) {
+    for (const double p : kSkipRates) {
+        const GeometricSkip skip(p);
+        const auto bounds = skip.bounds();
+        EXPECT_EQ(bounds.empty(), p < 0.002) << "p=" << p;
+        EXPECT_LE(bounds.size(), GeometricSkip::kMaxTable);
+        for (std::size_t k = 1; k < bounds.size(); ++k) {
+            EXPECT_LE(bounds[k], bounds[k - 1]) << "p=" << p << " k=" << k;
+        }
+    }
+    EXPECT_THROW(GeometricSkip(0.0), precondition_error);
+    EXPECT_THROW(GeometricSkip(1.0), precondition_error);
+}
+
+TEST(GeometricSkip, MatchesFormulaAtBoundariesAndEdgeDraws) {
+    constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+    constexpr std::uint64_t kBucket = std::uint64_t{1} << GeometricSkip::kBucketShift;
+    for (const double p : kSkipRates) {
+        const GeometricSkip skip(p);
+        const double log1p_neg_p = std::log1p(-p);
+        std::size_t mismatches = 0;
+        const auto check = [&](std::uint64_t draw) {
+            if (skip.skip_of(draw) != Rng::geometric_skip_of(draw, log1p_neg_p)) {
+                ++mismatches;
+            }
+        };
+        for (const std::uint64_t draw : {std::uint64_t{0}, std::uint64_t{1}, kBucket - 1,
+                                         kBucket, kTop}) {
+            check(draw);
+        }
+        // Every bound +-64 ...
+        for (const std::uint64_t bound : skip.bounds()) {
+            for (std::uint64_t draw = bound > 64 ? bound - 64 : 0;
+                 draw <= std::min(bound + 64, kTop); ++draw) {
+                check(draw);
+            }
+        }
+        // ... and both ends of every guide bucket.
+        for (std::uint64_t b = 1; b <= kTop / kBucket; ++b) {
+            check(b * kBucket - 1);
+            check(b * kBucket);
+        }
+        EXPECT_EQ(mismatches, 0u) << "p=" << p;
+    }
+}
+
+TEST(GeometricSkip, MatchesGeometricSkipOnRandomDrawsOneDrawEach) {
+    // 10^7 draws in all, against Rng::geometric_skip on the same stream;
+    // the streams' next raw outputs agree afterwards, so sample() took
+    // exactly one next_u64() per skip.
+    const std::size_t per_rate = 10'000'000 / std::size(kSkipRates);
+    for (const double p : kSkipRates) {
+        const GeometricSkip skip(p);
+        Rng formula(99);
+        Rng table(99);
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < per_rate; ++i) {
+            if (formula.geometric_skip(p) != skip.sample(table)) {
+                ++mismatches;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "p=" << p;
+        EXPECT_EQ(formula.next_u64(), table.next_u64()) << "p=" << p;
+    }
 }
 
 TEST(Rng, DistinctPositionsAreDistinctAndSorted) {

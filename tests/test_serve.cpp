@@ -497,8 +497,15 @@ TEST_F(ServeTest, DrainInterruptsRetryBackoffWithinGracePeriod) {
         ASSERT_TRUE(client.connect_wait(socket_path_, 5.0));
         response = client.request(submit_line(tiny_spec()));
     });
-    // Give the job time to fail its first attempt and enter the backoff.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    // Wait, with a bound, until the job has failed its first attempt and
+    // entered the backoff (retries is counted just before the backoff).
+    const auto in_backoff_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (server_->counters().retries < 1 &&
+           std::chrono::steady_clock::now() < in_backoff_deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(server_->counters().retries, 1u);
 
     const auto drain_start = std::chrono::steady_clock::now();
     server_->request_drain();
@@ -514,6 +521,39 @@ TEST_F(ServeTest, DrainInterruptsRetryBackoffWithinGracePeriod) {
     // The pending client still got a typed answer, not a dropped socket.
     ASSERT_TRUE(response.has_value());
     EXPECT_FALSE(member(*response, "ok").as_bool());
+    server_.reset();
+}
+
+TEST_F(ServeTest, DrainAnswersClientsStillInTheListenBacklog) {
+    // Regression test: the drain closed the listener with connected but
+    // not yet accepted clients in its backlog, and those clients read EOF.
+    // The acceptor now takes the backlog first, so they get a typed
+    // `rejected:draining`.
+    serve::ServerConfig config;
+    config.drain_seconds = 1.0;  // the grace the backlogged client answers in
+    start(config);
+
+    // Stall the acceptor inside its next accept: `first` is taken and the
+    // acceptor sleeps, so `second` waits in the listen backlog across the
+    // drain request.
+    failpoint::Config stall;
+    stall.mode = failpoint::Mode::delay;
+    stall.delay_ms = 1500;
+    stall.max_hits = 1;
+    failpoint::configure("serve.accept", stall);
+    serve::Client first = connect();
+    serve::Client second = connect();
+    std::optional<JsonValue> backlog_response;
+    std::thread sender([&] { backlog_response = second.request(submit_line(tiny_spec())); });
+
+    server_->request_drain();
+    server_->wait();
+    sender.join();
+    failpoint::clear("serve.accept");
+
+    ASSERT_TRUE(backlog_response.has_value());
+    EXPECT_EQ(member(*backlog_response, "status").as_string(), "rejected");
+    EXPECT_EQ(member(*backlog_response, "reason").as_string(), "draining");
     server_.reset();
 }
 
