@@ -41,8 +41,7 @@ TdmaTransport::TdmaTransport(const Graph& graph, TdmaParams params)
         require(params_.channel->noise_on_own_beep,
                 "TdmaTransport: transports require noise_on_own_beep");
     }
-    colors_ = params_.shared_coloring ? CodebookCache::instance().coloring(graph_)
-                                      : greedy_distance2_coloring(graph_);
+    colors_ = CodebookCache::instance().coloring(graph_);
     color_count_ = graph_.node_count() == 0 ? 0 : nb::color_count(colors_);
     noise_skip_ = make_noise_skip(params_.channel_model());
     pool_ = std::make_unique<ThreadPool>(

@@ -44,12 +44,6 @@ struct TdmaParams {
     /// rate the majority-decode repetitions are sized for.
     std::optional<ChannelModel> channel;
 
-    /// Fetch the greedy G^2 coloring (this baseline's expensive setup) from
-    /// the process-wide CodebookCache instead of recomputing per transport.
-    /// The coloring is a pure function of the graph, so sharing cannot
-    /// change any output; false restores the private computation.
-    bool shared_coloring = true;
-
     /// The effective channel driven through BatchEngine.
     ChannelModel channel_model() const {
         return channel.has_value() ? *channel : ChannelModel::iid(epsilon);

@@ -61,16 +61,6 @@ void BatchEngine::hear_into(NodeId node, const std::vector<Bitstring>& schedules
     }
 }
 
-std::vector<Bitstring> BatchEngine::hear_all(const std::vector<Bitstring>& schedules) const {
-    check_schedules(schedules);  // once for the whole batch of nodes
-    std::vector<Bitstring> result;
-    result.reserve(graph_.node_count());
-    for (NodeId v = 0; v < graph_.node_count(); ++v) {
-        result.push_back(hear(v, schedules));
-    }
-    return result;
-}
-
 std::size_t BatchEngine::total_beeps(const std::vector<Bitstring>& schedules) {
     std::size_t total = 0;
     for (const auto& schedule : schedules) {

@@ -63,9 +63,6 @@ public:
     /// streams are derived, never shared).
     void hear_into(NodeId node, const std::vector<Bitstring>& schedules, Bitstring& out) const;
 
-    /// Transcripts for all nodes (hear() applied to each node).
-    std::vector<Bitstring> hear_all(const std::vector<Bitstring>& schedules) const;
-
     /// Superimposition OR_{u in N(v) (+ v)} schedules[u] with no noise: the
     /// paper's x_v before flips. Exposed for decoder analysis in tests.
     Bitstring superimpose(NodeId node, const std::vector<Bitstring>& schedules,

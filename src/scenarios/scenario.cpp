@@ -141,7 +141,6 @@ SimulationParams ScenarioSpec::sim_params() const {
     params.dictionary = dictionary;
     params.decoy_count = decoy_count;
     params.threads = threads;
-    params.bitslice_min_candidates = bitslice_min_candidates;
     return params;
 }
 
@@ -332,7 +331,10 @@ std::uint64_t scenario_spec_fingerprint(const ScenarioSpec& spec) {
     mix(spec.c_eps);
     mix(static_cast<std::uint64_t>(spec.dictionary));
     mix(spec.decoy_count);
-    mix(spec.bitslice_min_candidates);
+    // The retired spec-level bitslice threshold, mixed as the library
+    // default it always carried, so journals and sweep fingerprints written
+    // before it left the spec stay valid.
+    mix(SimulationParams{}.bitslice_min_candidates);
     mix(spec.tdma_repetitions);
     // spec.threads deliberately not mixed: an execution knob, not an input —
     // outputs are bit-identical for every value, so a resumed sweep may

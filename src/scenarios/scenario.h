@@ -112,7 +112,6 @@ struct ScenarioSpec {
     DictionaryPolicy dictionary = DictionaryPolicy::two_hop;
     std::size_t decoy_count = 32;
     std::size_t threads = 0;
-    std::size_t bitslice_min_candidates = 512;
     std::size_t tdma_repetitions = 0;  ///< 0 = recommended_repetitions(n, eps)
 
     double effective_decoder_epsilon() const;

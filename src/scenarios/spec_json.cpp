@@ -244,8 +244,7 @@ ScenarioSpec parse_scenario(const Cursor& cursor) {
     reject_unknown_keys(cursor,
                         {"name", "description", "topology", "channel", "transport",
                          "workload", "faults", "rounds", "decoder_epsilon", "c_eps",
-                         "dictionary", "decoy_count", "threads", "bitslice_min_candidates",
-                         "tdma_repetitions"});
+                         "dictionary", "decoy_count", "threads", "tdma_repetitions"});
     ScenarioSpec spec;
     const JsonValue* name = cursor.value.find("name");
     if (name == nullptr) {
@@ -305,7 +304,6 @@ ScenarioSpec parse_scenario(const Cursor& cursor) {
     }
     opt_size(cursor, "decoy_count", spec.decoy_count);
     opt_size(cursor, "threads", spec.threads);
-    opt_size(cursor, "bitslice_min_candidates", spec.bitslice_min_candidates);
     opt_size(cursor, "tdma_repetitions", spec.tdma_repetitions);
     return spec;
 }

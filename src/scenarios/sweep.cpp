@@ -131,9 +131,9 @@ std::uint64_t topology_digest(const TopologySpec& topology) {
 }
 
 /// The analytic cold-start cache pass: replay the job list's cache traffic
-/// against empty key sets. One acquire per beep job (BeepTransport builds
-/// its codebook once, through the cache when shared_codebook is on), one
-/// coloring per tdma job; a never-seen key is a build, a repeat is a hit —
+/// against empty key sets. One acquire per beep job (BeepTransport takes
+/// its codebook from the cache once, at construction), one coloring per
+/// tdma job; a never-seen key is a build, a repeat is a hit —
 /// exactly what a clean run on an empty cache with no eviction pressure
 /// performs, and a pure function of the job list.
 SweepCacheAnalysis analyze_cache_cold(const std::vector<ScenarioSpec>& jobs) {
@@ -149,16 +149,9 @@ SweepCacheAnalysis analyze_cache_cold(const std::vector<ScenarioSpec>& jobs) {
         }
         const Graph& graph = it->second;
         if (job.transport == TransportKind::beep) {
-            const SimulationParams params = job.sim_params();
-            if (!params.shared_codebook) {
-                continue;  // private build: no cache traffic
-            }
-            const std::uint64_t key = CodebookCache::key_digest(graph, params);
+            const std::uint64_t key = CodebookCache::key_digest(graph, job.sim_params());
             ++(codebook_keys.insert(key).second ? analysis.builds : analysis.hits);
         } else {
-            if (!job.tdma_params(graph.node_count()).shared_coloring) {
-                continue;
-            }
             const std::uint64_t digest = CodebookCache::graph_digest(graph);
             ++(colored_graphs.insert(digest).second ? analysis.coloring_builds
                                                     : analysis.coloring_hits);

@@ -201,13 +201,20 @@ std::size_t Codebook::memory_bytes() const {
     bytes += entry_count * (2 * payload_bytes + dist_bytes);  // messages, tails, encodings
     bytes += n * beep_bytes;                                  // combined_schedules
     if (params_.dictionary == DictionaryPolicy::all_nodes) {
-        // Bitslice matrix (beep_length planes over n+decoys columns), the
-        // word-major SoA mirror of candidate_encoded, and the decode gaps.
+        bytes += entry_count * sizeof(std::uint32_t);  // decode gaps
+    }
+    if (bitsliced_rounds()) {
+        // Bitslice matrix (beep_length planes over n+decoys columns) and the
+        // word-major SoA mirror of candidate_encoded.
         bytes += combined_.length() * ((n + decoys + 63) / 64) * sizeof(std::uint64_t);
         bytes += entry_count * dist_bytes;
-        bytes += entry_count * sizeof(std::uint32_t);
     }
     return bytes;
+}
+
+bool Codebook::bitsliced_rounds() const noexcept {
+    return params_.dictionary == DictionaryPolicy::all_nodes &&
+           graph_.node_count() + params_.decoy_count >= params_.bitslice_min_candidates;
 }
 
 std::span<const std::uint32_t> Codebook::candidate_entries(NodeId v) const {
@@ -417,7 +424,7 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     // node_gaps_, so a fixed-messages nonce sweep recomputes only the
     // decoy rows each round.
     const bool all_nodes = params_.dictionary == DictionaryPolicy::all_nodes;
-    if (all_nodes && n + decoys >= params_.bitslice_min_candidates) {
+    if (bitsliced_rounds()) {
         if (donor != nullptr && !donor->codeword_slices.empty()) {
             // Same entry space, same nonce: the codeword planes are
             // bit-identical (copies share the scratch-bias epoch), and the

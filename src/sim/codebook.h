@@ -197,7 +197,7 @@ public:
     /// node's candidate entry list, and the key-relevant parameters. Two
     /// codebooks with equal fingerprints decode bit-identically; the cache
     /// and serialization property tests both compare against a fresh
-    /// private build through this digest. Stats-neutral and thread-safe.
+    /// direct build through this digest. Stats-neutral and thread-safe.
     std::uint64_t fingerprint() const;
 
     /// Construction counters for the once-per-transport contract.
@@ -232,6 +232,12 @@ private:
                                        std::uint64_t nonce,
                                        std::shared_ptr<const Round> donor, BuildTally& tally,
                                        ThreadPool* pool, std::shared_ptr<Round> round) const;
+
+    /// Whether build_round transposes each round into a BitsliceMatrix and
+    /// a WordSoa dictionary: all_nodes rounds from bitslice_min_candidates
+    /// candidates up. memory_bytes() charges those two for exactly these
+    /// codebooks.
+    bool bitsliced_rounds() const noexcept;
 
     void build_candidate_index();
     void adopt_candidate_index();  ///< borrow the CSR from file_

@@ -10,6 +10,13 @@
 // two-hop-dictionary construction three times; now concurrent jobs sharing
 // the build parameters get one build and N-1 hits.
 //
+// Every BeepTransport takes its codebook, and every TdmaTransport its
+// coloring, from instance(): the paper's codes are public shared randomness,
+// one per (graph, parameters), and this cache is that one build. There is no
+// switch to bypass it. A test that needs one transport's own counters
+// clear()s the cache first; a reference build outside it is a Codebook
+// constructed directly from canonical_params().
+//
 // Structure: a fixed number of shards, each an LRU list of
 // (key, shared_ptr<SharedCodebook>) pairs under its own mutex. The shard
 // mutex is held *across a miss's build*: a concurrent lookup of the same key
@@ -94,7 +101,7 @@ public:
     CodebookCache(const CodebookCache&) = delete;
     CodebookCache& operator=(const CodebookCache&) = delete;
 
-    /// The process-wide instance every cache-enabled transport consults.
+    /// The process-wide instance every transport consults.
     static CodebookCache& instance();
 
     /// The cached codebook for (graph, params), built on first use. The

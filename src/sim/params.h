@@ -83,7 +83,10 @@ struct SimulationParams {
     /// bitsliced kernel instead of the per-candidate scalar loop (0 forces
     /// bitslicing, SIZE_MAX disables it). Outputs are bit-identical either
     /// way — the threshold only selects the faster kernel; the default is
-    /// the measured crossover on popcount-capable hardware.
+    /// the measured crossover on popcount-capable hardware. It is part of
+    /// the CodebookCache key (the round material differs), but no scenario
+    /// spec sets it: only library callers do, e.g. to force the bitsliced
+    /// kernel on graphs below the crossover.
     std::size_t bitslice_min_candidates = 512;
 
     /// Decode kernel set for this transport's hot loops (phase-1 bitslice
@@ -95,15 +98,6 @@ struct SimulationParams {
     /// never values — so the field is deliberately NOT part of the codebook
     /// cache key or any fingerprint.
     simd::Kernel simd_kernel = simd::Kernel::auto_best;
-
-    /// Consult the process-wide CodebookCache (sim/codebook_cache.h)
-    /// instead of building a private Codebook: transports agreeing on the
-    /// codebook-relevant fields (graph adjacency, message_bits, c_eps,
-    /// seeds, decoy_count, dictionary, bitslice threshold — NOT epsilon,
-    /// channel, or threads) share one build. Outputs are bit-identical
-    /// either way (golden-pinned); false restores the once-per-transport
-    /// build whose Codebook::stats() count only this transport's work.
-    bool shared_codebook = true;
 
     /// Validate ranges; throws precondition_error.
     void validate() const;

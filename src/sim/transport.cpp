@@ -32,16 +32,10 @@ TransportRound Transport::simulate_round(
 BeepTransport::BeepTransport(const Graph& graph, SimulationParams params)
     : graph_(graph), params_(params) {
     params_.validate();
-    if (params_.shared_codebook) {
-        // The cached build owns its own graph copy (structurally equal to
-        // graph_, enforced by the cache key), so eviction or this
-        // transport's death never dangles anything.
-        shared_codebook_ = CodebookCache::instance().acquire(graph_, params_);
-        codebook_ = &shared_codebook_->codebook();
-    } else {
-        owned_codebook_ = std::make_unique<Codebook>(graph_, params_);
-        codebook_ = owned_codebook_.get();
-    }
+    // The cached build owns its own graph copy (structurally equal to
+    // graph_, enforced by the cache key), so eviction or this transport's
+    // death never dangles anything.
+    codebook_ = CodebookCache::instance().acquire(graph_, params_);
     noise_skip_ = make_noise_skip(params_.channel_model());
     pool_ = std::make_unique<ThreadPool>(
         ThreadPool::worker_count_for(params_.threads, graph_.node_count()));
@@ -81,7 +75,7 @@ void BeepTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
         // whole batch.
         cancel_poll();
         const std::shared_ptr<const Codebook::Round> round =
-            codebook_->round(*specs[i].messages, specs[i].nonce, pool_.get());
+            codebook().round(*specs[i].messages, specs[i].nonce, pool_.get());
         decode_round_into(*round, specs[i], i, batch);
     }
 }
@@ -94,7 +88,7 @@ void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundS
     const FaultModel& faults = spec.faults != nullptr ? *spec.faults : no_faults;
 
     build_node_states_into(scratch.states, n, faults);
-    const std::size_t b = codebook_->beep_length();
+    const std::size_t b = codebook().beep_length();
 
     // Phase schedules: the cached fault-free ones (codewords and combined
     // codewords) unless faults force per-node overrides — jammers transmit
@@ -139,13 +133,13 @@ void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundS
                        : BatchEngine::total_beeps(*phase1_schedules) +
                              BatchEngine::total_beeps(*phase2_schedules);
 
-    const Phase1Decoder phase1_decoder(codebook_->beep_code(), params_.epsilon);
+    const Phase1Decoder phase1_decoder(codebook().beep_code(), params_.epsilon);
 
     scratch.diagnostics.assign(n, transport_detail::NodeDiagnostics{});
 
     DecodeContext ctx;
     ctx.graph = &graph_;
-    ctx.codebook = codebook_;
+    ctx.codebook = &codebook();
     ctx.round = &round;
     ctx.messages = spec.messages;
     ctx.phase1_schedules = phase1_schedules;
@@ -153,14 +147,14 @@ void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundS
     ctx.phase1_engine = &phase1_engine;
     ctx.phase2_engine = &phase2_engine;
     ctx.phase1_decoder = &phase1_decoder;
-    ctx.distance_code = &codebook_->distance_code();
+    ctx.distance_code = &codebook().distance_code();
     ctx.batch = &batch;
     ctx.workspaces = &scratch.workspaces;
     ctx.states = &scratch.states;
     ctx.diagnostics = &scratch.diagnostics;
     ctx.round_index = round_index;
     ctx.n = n;
-    ctx.decoy_count = codebook_->decoy_count();
+    ctx.decoy_count = codebook().decoy_count();
     ctx.bitsliced = !round.codeword_slices.empty();
     // Resolved once per round: what params_.simd_kernel actually runs as on
     // this build/CPU (auto_best defers to NB_SIMD_KERNEL, then detection).

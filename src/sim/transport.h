@@ -137,11 +137,10 @@ public:
     const Graph& graph() const noexcept override { return graph_; }
 
     /// The code/dictionary cache this transport decodes with (see
-    /// codebook.h): the process-wide shared build when
-    /// params.shared_codebook (possibly serving other transports too, so
-    /// its stats() aggregate across them), otherwise this transport's
-    /// private build.
-    const Codebook& codebook() const noexcept { return *codebook_; }
+    /// codebook.h): the process-wide CodebookCache's build for this graph
+    /// and params, possibly serving other transports too, so its stats()
+    /// aggregate across them.
+    const Codebook& codebook() const noexcept { return codebook_->codebook(); }
 
 private:
     void decode_round_into(const Codebook::Round& round, const RoundSpec& spec,
@@ -149,9 +148,7 @@ private:
 
     const Graph& graph_;
     SimulationParams params_;
-    std::shared_ptr<const SharedCodebook> shared_codebook_;  ///< cache-owned
-    std::unique_ptr<Codebook> owned_codebook_;               ///< private build
-    const Codebook* codebook_ = nullptr;  ///< whichever of the two is active
+    std::shared_ptr<const SharedCodebook> codebook_;  ///< cache-owned
     /// The physical channel's exact gap sampler, handed to both per-round
     /// engines; null unless the channel flips at one rate.
     std::shared_ptr<const GeometricSkip> noise_skip_;

@@ -1,7 +1,9 @@
 // Property tests for the process-wide CodebookCache (sim/codebook_cache.h):
-// a cache hit must be bit-identical to a fresh private build for every
-// shipped registry spec and for thread counts 1/2/8, and the counters must
-// pin exactly-once construction across a multi-seed sweep.
+// a cache hit must be bit-identical to a fresh build for every shipped
+// registry spec and for thread counts 1/2/8, the counters must pin
+// exactly-once construction across a multi-seed sweep, and the byte cap must
+// evict from the LRU tail, hand oversize builds back uncached, and account
+// exactly the bytes it charged.
 //
 // Tests clear() the cache up front so the counter assertions hold whether
 // the binary runs one test per process (ctest) or all in one (bare
@@ -10,10 +12,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "graph/algorithms.h"
+#include "graph/generators.h"
 #include "scenarios/registry.h"
 #include "scenarios/sweep.h"
 #include "sim/codebook_cache.h"
@@ -35,13 +39,11 @@ TEST(CodebookCacheProperty, HitIsBitIdenticalToFreshBuildForEveryShippedSpec) {
             continue;
         }
 
-        // A fresh private build (cache bypassed) is the reference.
-        SimulationParams private_params = spec.sim_params();
-        private_params.shared_codebook = false;
-        const BeepTransport reference(graph, private_params);
-        const std::uint64_t expected = reference.codebook().fingerprint();
+        // A fresh build outside the cache is the reference.
+        const Codebook reference(graph, CodebookCache::canonical_params(spec.sim_params()));
+        const std::uint64_t expected = reference.fingerprint();
 
-        // Cache-enabled transports at thread counts 1/2/8 must all decode
+        // Transports at thread counts 1/2/8 must all decode
         // through a codebook with the reference fingerprint — and through
         // ONE shared object, since threads are not part of the cache key.
         const Codebook* shared = nullptr;
@@ -206,14 +208,134 @@ TEST(CodebookCacheProperty, ColoringCacheServesTdmaTransports) {
     const TdmaTransport second(graph, params);
     EXPECT_EQ(first.colors(), second.colors());
 
-    TdmaParams private_params = params;
-    private_params.shared_coloring = false;
-    const TdmaTransport reference(graph, private_params);
-    EXPECT_EQ(first.colors(), reference.colors());
+    EXPECT_EQ(first.colors(), greedy_distance2_coloring(graph));
 
     const auto stats = CodebookCache::instance().stats();
     EXPECT_EQ(stats.coloring_builds, 1u);
     EXPECT_EQ(stats.coloring_hits, 1u);
+}
+
+/// Params for the byte-cap tests: small codes on a 24-node ring; distinct
+/// `code_seed`s give distinct keys with identical footprints.
+SimulationParams cap_params(std::uint64_t code_seed) {
+    SimulationParams params;
+    params.message_bits = 8;
+    params.decoy_count = 4;
+    params.code_seed = code_seed;
+    return params;
+}
+
+std::size_t charged_bytes(const Graph& graph, const SimulationParams& params) {
+    return SharedCodebook(graph, CodebookCache::canonical_params(params)).memory_bytes();
+}
+
+TEST(CodebookCacheByteCap, EvictsTheLeastRecentlyUsedEntryUnderBytePressure) {
+    const Graph graph = make_ring(24);
+    const std::size_t entry = charged_bytes(graph, cap_params(1));
+    ASSERT_EQ(charged_bytes(graph, cap_params(2)), entry);
+    // Room for two entries, not three; the count capacity (8) never binds.
+    CodebookCache cache(1, 8, 2 * entry + entry / 2);
+
+    cache.acquire(graph, cap_params(1));
+    cache.acquire(graph, cap_params(2));
+    cache.acquire(graph, cap_params(3));  // over the cap: seed 1 goes
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.builds, 3u);
+    EXPECT_EQ(stats.evictions_capacity, 1u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.bytes_resident, 2 * entry);
+
+    cache.acquire(graph, cap_params(2));  // hit: seed 3 is now the LRU tail
+    cache.acquire(graph, cap_params(1));  // rebuilt, evicting seed 3
+    cache.acquire(graph, cap_params(2));  // still resident
+    stats = cache.stats();
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.builds, 4u);
+    EXPECT_EQ(stats.evictions_capacity, 2u);
+    EXPECT_EQ(stats.oversize_uncached, 0u);
+    EXPECT_EQ(stats.bytes_resident, 2 * entry);
+
+    cache.acquire(graph, cap_params(3));
+    EXPECT_EQ(cache.stats().builds, 5u);
+}
+
+TEST(CodebookCacheByteCap, OversizeCodebookIsReturnedUncached) {
+    const Graph graph = make_ring(24);
+    const SimulationParams params = cap_params(1);
+    const std::size_t entry = charged_bytes(graph, params);
+    CodebookCache cache(1, 8, entry - 1);
+
+    const auto first = cache.acquire(graph, params);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->memory_bytes(), entry);
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.builds, 1u);
+    EXPECT_EQ(stats.oversize_uncached, 1u);
+    EXPECT_EQ(stats.bytes_resident, 0u);
+
+    // Nothing was cached, so the next acquire builds again.
+    const auto second = cache.acquire(graph, params);
+    EXPECT_NE(first.get(), second.get());
+    EXPECT_EQ(first->codebook().fingerprint(), second->codebook().fingerprint());
+    stats = cache.stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.builds, 2u);
+    EXPECT_EQ(stats.oversize_uncached, 2u);
+    EXPECT_EQ(stats.evictions_capacity, 0u);
+}
+
+TEST(CodebookCacheByteCap, BytesResidentIsTheSumOfChargedEntries) {
+    Rng rng(5);
+    const Graph ring = make_ring(24);
+    const Graph regular = make_random_regular(40, 6, rng);
+    SimulationParams all_nodes = cap_params(1);
+    all_nodes.dictionary = DictionaryPolicy::all_nodes;
+    SimulationParams bitsliced = all_nodes;
+    bitsliced.bitslice_min_candidates = 0;
+    SimulationParams wide = cap_params(1);
+    wide.message_bits = 12;
+
+    CodebookCache cache(1, 8, std::size_t{1} << 30);
+    std::size_t sum = 0;
+    for (const Graph* graph : {&ring, &regular}) {
+        for (const SimulationParams& params : {cap_params(1), all_nodes, bitsliced, wide}) {
+            sum += cache.acquire(*graph, params)->memory_bytes();
+            EXPECT_EQ(cache.stats().bytes_resident, sum);
+        }
+    }
+    cache.acquire(ring, cap_params(1));  // a hit charges nothing more
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().bytes_resident, sum);
+}
+
+TEST(CodebookCacheByteCap, OnlyBitslicedCodebooksAreChargedForTheTransposedRound) {
+    // all_nodes codebooks below bitslice_min_candidates build no bitslice
+    // matrix or SoA dictionary, so they are not charged for them either.
+    const Graph graph = make_ring(24);
+    const std::size_t n = graph.node_count();
+    SimulationParams scalar = cap_params(1);
+    scalar.dictionary = DictionaryPolicy::all_nodes;
+    ASSERT_LT(n + scalar.decoy_count, scalar.bitslice_min_candidates);
+    SimulationParams bitsliced = scalar;
+    bitsliced.bitslice_min_candidates = 0;
+
+    const Codebook plain(graph, scalar);
+    const Codebook sliced(graph, bitsliced);
+    std::vector<std::optional<Bitstring>> messages(n);
+    EXPECT_TRUE(plain.round(messages, 1)->codeword_slices.empty());
+    EXPECT_FALSE(sliced.round(messages, 1)->codeword_slices.empty());
+
+    const std::size_t columns = n + scalar.decoy_count;
+    const std::size_t transposed =
+        plain.beep_length() * ((columns + 63) / 64) * sizeof(std::uint64_t) +
+        (columns + 1) * ((scalar.distance_code_length() + 7) / 8);
+    EXPECT_EQ(sliced.memory_bytes(), plain.memory_bytes() + transposed);
+
+    // two_hop codebooks never transpose, whatever the threshold.
+    SimulationParams two_hop = cap_params(1);
+    const std::size_t two_hop_bytes = Codebook(graph, two_hop).memory_bytes();
+    two_hop.bitslice_min_candidates = 0;
+    EXPECT_EQ(Codebook(graph, two_hop).memory_bytes(), two_hop_bytes);
 }
 
 }  // namespace

@@ -259,19 +259,18 @@ TEST(CodebookWarmStart, TransportThroughMmapLoadedCodebookDecodesIdentically) {
     const Graph graph = make_random_regular(32, 4, rng);
     SimulationParams params = small_params();
     params.epsilon = 0.2;
-    params.shared_codebook = false;
-    const BeepTransport reference(graph, params);
+    const Codebook reference(graph, CodebookCache::canonical_params(params));
     const auto messages = random_messages(graph, params.message_bits, 3);
 
-    // Save the reference's codebook, then derive a round through a codebook
+    // Save the reference codebook, then derive a round through a codebook
     // adopted from the mapped file: all round material must match exactly.
     ::mkdir(dir.c_str(), 0755);
-    save_codebook(reference.codebook(), dir + "/cb.nbc");
+    save_codebook(reference, dir + "/cb.nbc");
     const auto file = CodebookFile::map(dir + "/cb.nbc");
     ASSERT_NE(file, nullptr);
     const Codebook loaded(graph, CodebookCache::canonical_params(params), file);
-    EXPECT_EQ(loaded.fingerprint(), reference.codebook().fingerprint());
-    const auto round_fresh = reference.codebook().round(messages, 1);
+    EXPECT_EQ(loaded.fingerprint(), reference.fingerprint());
+    const auto round_fresh = reference.round(messages, 1);
     const auto round_loaded = loaded.round(messages, 1);
     EXPECT_EQ(round_fresh->codewords, round_loaded->codewords);
     EXPECT_EQ(round_fresh->candidate_encoded, round_loaded->candidate_encoded);

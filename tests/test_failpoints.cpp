@@ -104,7 +104,7 @@ TEST_F(FailpointTest, ConfigureRequiresAKnownSite) {
 TEST_F(FailpointTest, MaxHitsBudgetHealsTheSite) {
     // fail twice, then heal — the transient-fault model the retry property
     // tests lean on. codebook.build fires inside Codebook's constructor, so
-    // drive it through uncached private builds.
+    // drive it through cache misses: a build that throws caches nothing.
     Config config;
     config.mode = Mode::inject_throw;
     config.max_hits = 2;

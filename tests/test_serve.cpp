@@ -58,6 +58,27 @@ std::string submit_line(const std::string& spec, const std::string& extra_fields
     return "{\"op\":\"submit\"" + extra_fields + ",\"spec\":" + spec + "}";
 }
 
+/// Wait, with a 30 s bound, until `reached()` holds: tests synchronize on
+/// observable server state, never on a guessed sleep. Returns whether the
+/// state was reached.
+template <typename Predicate>
+bool wait_until(Predicate reached) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!reached()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            return false;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/// Whether a job has entered its first attempt: the serve.job failpoint
+/// counts its hit before a delay mode sleeps.
+bool job_started() {
+    return failpoint::hits("serve.job") >= 1;
+}
+
 class ServeTest : public ::testing::Test {
 protected:
     void TearDown() override {
@@ -333,9 +354,8 @@ TEST_F(ServeTest, DrainFinishesInFlightAndRejectsNewSubmits) {
     // outright — the listener is closed and the socket unlinked).
     serve::Client late = connect();
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    server_->request_drain();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_TRUE(wait_until(job_started));
+    server_->request_drain();  // draining from here on: the late submit is shed
 
     const auto rejected = late.request(submit_line(tiny_spec()));
     ASSERT_TRUE(rejected.has_value());
@@ -360,14 +380,19 @@ TEST_F(ServeTest, DrainDeadlineHardCancelsStragglers) {
     start(config);
 
     // A job long enough to outlive the 50 ms grace period by far: the drain
-    // token must reach its transport polls through the parent chain.
+    // token must reach its transport polls through the parent chain. The
+    // one-hit zero-length delay only marks the moment the job starts.
+    failpoint::Config mark;
+    mark.mode = failpoint::Mode::delay;
+    mark.max_hits = 1;
+    failpoint::configure("serve.job", mark);
     std::optional<JsonValue> response;
     std::thread submitter([&] {
         serve::Client client;
         ASSERT_TRUE(client.connect_wait(socket_path_, 5.0));
         response = client.request(submit_line(tiny_spec(/*seed=*/9, /*rounds=*/2000)));
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    EXPECT_TRUE(wait_until(job_started));
     server_->request_drain();
     server_->wait();
     submitter.join();
@@ -497,15 +522,9 @@ TEST_F(ServeTest, DrainInterruptsRetryBackoffWithinGracePeriod) {
         ASSERT_TRUE(client.connect_wait(socket_path_, 5.0));
         response = client.request(submit_line(tiny_spec()));
     });
-    // Wait, with a bound, until the job has failed its first attempt and
-    // entered the backoff (retries is counted just before the backoff).
-    const auto in_backoff_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (server_->counters().retries < 1 &&
-           std::chrono::steady_clock::now() < in_backoff_deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_GE(server_->counters().retries, 1u);
+    // Wait until the job has failed its first attempt and entered the
+    // backoff (retries is counted just before the backoff).
+    EXPECT_TRUE(wait_until([&] { return server_->counters().retries >= 1; }));
 
     const auto drain_start = std::chrono::steady_clock::now();
     server_->request_drain();

@@ -37,7 +37,7 @@ TEST(SpecJson, FullSpecRoundTripsEveryField) {
          "workload": {"message_bits": 8, "silent_fraction": 0.25, "seed": 9},
          "faults": [{"first_round": 1, "last_round": 2, "jammers": [0, 3], "crashed": [5]}],
          "decoder_epsilon": 0.2, "c_eps": 5, "dictionary": "all_nodes",
-         "decoy_count": 16, "bitslice_min_candidates": 128},
+         "decoy_count": 16},
         {"name": "base", "transport": "tdma", "tdma_repetitions": 7,
          "topology": {"family": "grid", "rows": 4, "cols": 6}}
       ],
@@ -77,7 +77,6 @@ TEST(SpecJson, FullSpecRoundTripsEveryField) {
     EXPECT_EQ(ge.c_eps, 5u);
     EXPECT_EQ(ge.dictionary, DictionaryPolicy::all_nodes);
     EXPECT_EQ(ge.decoy_count, 16u);
-    EXPECT_EQ(ge.bitslice_min_candidates, 128u);
 
     const ScenarioSpec& base = sweep.bases[1];
     EXPECT_EQ(base.transport, TransportKind::tdma);
@@ -117,6 +116,10 @@ TEST(SpecJson, GoldenDiagnosticTypodKey) {
     EXPECT_EQ(
         diagnostic(R"({"schema": "nb-spec/v1", "scenarios": [{"name": "x", "shards": 4}]})"),
         "spec.json: scenarios[0].shards: unknown field");
+    // So is the retired spec-level bitslice threshold (a library-only knob).
+    EXPECT_EQ(diagnostic(R"({"schema": "nb-spec/v1", "scenarios": [{"name": "x", )"
+                         R"("bitslice_min_candidates": 0}]})"),
+              "spec.json: scenarios[0].bitslice_min_candidates: unknown field");
     // (The retired axis name is assembled from pieces so that a search of
     // the tree for it finds no live use.)
     const std::string retired_axis = std::string("shard_") + "counts";

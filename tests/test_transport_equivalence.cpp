@@ -279,23 +279,12 @@ TEST_F(TransportEquivalence, SharedCodebookCacheMatchesGoldenFingerprints) {
     EXPECT_EQ(stats.hits, 1u);    // the threaded two_hop transport
 }
 
-TEST_F(TransportEquivalence, PrivateCodebookMatchesGoldenFingerprints) {
-    // Opting out of the shared cache must not change a single bit either:
-    // the two build modes are golden-pinned against the same seed values.
-    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
-    params.shared_codebook = false;
-    const BeepTransport transport(graph_, params);
-    EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), kGoldenTwoHopPlain);
-    EXPECT_EQ(run_fingerprint(transport, messages_, faults_), kGoldenTwoHopFaults);
-}
-
 TEST_F(TransportEquivalence, ReusedBatchStaysIdenticalAcrossCalls) {
     // A second pass through the same warm batch reuses its scratch and
     // arenas, and the codebook rebuilds each warm round in place; neither
     // may change a bit of the golden outputs.
-    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
-    params.shared_codebook = false;  // private, so the recycle count is this transport's
-    const BeepTransport transport(graph_, params);
+    CodebookCache::instance().clear();  // a fresh build, so the recycle count is this test's
+    const BeepTransport transport(graph_, noisy_params(DictionaryPolicy::two_hop));
     std::vector<RoundSpec> specs;
     for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
         specs.push_back(RoundSpec{&messages_, nonce, &faults_});
@@ -314,11 +303,10 @@ TEST_F(TransportEquivalence, ReusedBatchStaysIdenticalAcrossCalls) {
 }
 
 TEST_F(TransportEquivalence, CodesAndCodewordsBuiltOncePerRound) {
-    // The once-per-transport counters need a private codebook: a shared one
-    // aggregates every transport that ever hit the same cache entry.
-    SimulationParams private_params = noisy_params(DictionaryPolicy::two_hop);
-    private_params.shared_codebook = false;
-    const BeepTransport transport(graph_, private_params);
+    // The once-per-transport counters need a fresh cache entry: a cached
+    // codebook aggregates every transport that ever hit it.
+    CodebookCache::instance().clear();
+    const BeepTransport transport(graph_, noisy_params(DictionaryPolicy::two_hop));
     const std::size_t n = graph_.node_count();
     const std::size_t decoys = transport.params().decoy_count;
 
