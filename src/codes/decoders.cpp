@@ -22,26 +22,20 @@ bool Phase1Decoder::accepts(const Bitstring& heard, std::uint64_t r) const {
     return static_cast<double>(missing_ones(heard, r)) < threshold_;
 }
 
-bool Phase1Decoder::accepts_codeword(const Bitstring& heard, const Bitstring& codeword) const {
-    require(codeword.size() == code_->length(), "Phase1Decoder: wrong codeword length");
-    return codeword.and_not_count_below(heard, reject_limit_);
-}
-
 bool Phase1Decoder::accepts_codeword(const Bitstring& heard, const Bitstring& codeword,
-                                     simd::Kernel kernel) const {
+                                     const simd::SimdOps& ops) const {
     require(codeword.size() == code_->length(), "Phase1Decoder: wrong codeword length");
     require(heard.size() == codeword.size(), "Phase1Decoder: wrong transcript length");
-    return simd::ops(kernel).and_not_count_below(codeword.words().data(),
-                                                 heard.words().data(),
-                                                 codeword.words().size(), reject_limit_);
+    return ops.and_not_count_below(codeword.words().data(), heard.words().data(),
+                                   codeword.words().size(), reject_limit_);
 }
 
 void Phase1Decoder::accept_all(const Bitstring& heard, const BitsliceMatrix& candidates,
                                BitsliceScratch& scratch, std::vector<std::uint64_t>& accept,
-                               simd::Kernel kernel) const {
+                               const simd::SimdOps& ops) const {
     require(candidates.empty() || candidates.rows() == code_->length(),
             "Phase1Decoder::accept_all: wrong codeword length");
-    candidates.and_not_below(heard, reject_limit_, scratch, accept, kernel);
+    candidates.and_not_below(heard, reject_limit_, scratch, accept, ops);
 }
 
 std::vector<std::uint64_t> Phase1Decoder::decode(

@@ -49,11 +49,11 @@ public:
 
     /// Acceptance test given an already-generated codeword (avoids
     /// regenerating C(r) when the caller holds it, e.g. the transport's
-    /// phase-1 schedules). The kernel overload runs the count on a specific
-    /// dispatch table (bit-identical across kernels; see simd.h).
-    bool accepts_codeword(const Bitstring& heard, const Bitstring& codeword) const;
+    /// phase-1 schedules). The count runs on the dispatch table `ops`
+    /// (bit-identical across tables; see simd.h) — the transports resolve
+    /// it once per round instead of once per candidate.
     bool accepts_codeword(const Bitstring& heard, const Bitstring& codeword,
-                          simd::Kernel kernel) const;
+                          const simd::SimdOps& ops = simd::ops()) const;
 
     /// All accepted inputs among `dictionary` (the decoded set R~_v).
     std::vector<std::uint64_t> decode(const Bitstring& heard,
@@ -68,7 +68,7 @@ public:
     /// Precondition: the matrix rows equal the code length.
     void accept_all(const Bitstring& heard, const BitsliceMatrix& candidates,
                     BitsliceScratch& scratch, std::vector<std::uint64_t>& accept,
-                    simd::Kernel kernel = simd::Kernel::auto_best) const;
+                    const simd::SimdOps& ops = simd::ops()) const;
 
 private:
     const BeepCode* code_;

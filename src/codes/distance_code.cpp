@@ -91,74 +91,32 @@ std::optional<DistanceCode::Decoded> DistanceCode::decode_cached(
     return best;
 }
 
-std::vector<std::uint32_t> DistanceCode::decode_gaps(std::span<const Bitstring> messages,
-                                                     std::span<const Bitstring> encoded) const {
-    return extend_decode_gaps(messages, encoded, {});
-}
-
-std::vector<std::uint32_t> DistanceCode::extend_decode_gaps(
-    std::span<const Bitstring> messages, std::span<const Bitstring> encoded,
-    std::span<const std::uint32_t> prefix_gaps) const {
-    require(encoded.size() == messages.size(),
-            "DistanceCode::decode_gaps: one encoding per candidate message");
-    require(prefix_gaps.size() <= encoded.size(),
-            "DistanceCode::extend_decode_gaps: prefix exceeds the dictionary");
-    const std::size_t count = encoded.size();
-    const std::size_t prefix = prefix_gaps.size();
-    // length_ + 1 exceeds any real distance, so an entry with no distinct
-    // neighbor keeps a gap the shortcut can always clear.
-    std::vector<std::uint32_t> gaps(count, static_cast<std::uint32_t>(length_ + 1));
-    std::copy(prefix_gaps.begin(), prefix_gaps.end(), gaps.begin());
-    std::vector<bool> conflicted(count, false);
-    for (std::size_t i = 0; i < count; ++i) {
-        // Prefix-internal pairs are already folded into prefix_gaps.
-        for (std::size_t j = std::max(i + 1, prefix); j < count; ++j) {
-            const auto distance =
-                static_cast<std::uint32_t>(encoded[i].hamming_distance(encoded[j]));
-            if (distance == 0) {
-                // Same encoding: harmless if the messages agree (one tie
-                // class, one output), disqualifying otherwise.
-                if (messages[i] != messages[j]) {
-                    conflicted[i] = true;
-                    conflicted[j] = true;
-                }
-                continue;
-            }
-            gaps[i] = std::min(gaps[i], distance);
-            gaps[j] = std::min(gaps[j], distance);
-        }
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-        if (conflicted[i]) {
-            gaps[i] = 0;
-        }
-    }
-    return gaps;
-}
-
-std::uint32_t DistanceCode::nearest_entry(const Bitstring& received,
-                                          std::span<const Bitstring> messages,
-                                          std::span<const Bitstring> encoded,
-                                          std::span<const std::uint32_t> entries,
-                                          std::uint32_t hint_entry,
-                                          std::span<const std::uint32_t> gaps) const {
+DistanceCode::Nearest DistanceCode::nearest_entry(const Bitstring& received,
+                                                  std::span<const Bitstring> messages,
+                                                  std::span<const Bitstring> encoded,
+                                                  std::span<const std::uint32_t> entries,
+                                                  std::uint32_t hint_entry,
+                                                  std::uint32_t hint_gap,
+                                                  const simd::SimdOps& ops) const {
     require(received.size() == length_,
             "DistanceCode::nearest_entry: received has the wrong length");
     require(!entries.empty(), "DistanceCode::nearest_entry: empty dictionary");
-    if (!gaps.empty()) {
-        const std::size_t hint_distance = encoded[hint_entry].hamming_distance(received);
-        if (2 * hint_distance < gaps[hint_entry]) {
-            return hint_entry;
-        }
+    const std::uint64_t* received_words = received.words().data();
+    const std::size_t words = received.words().size();
+    const auto distance_to = [&](std::uint32_t entry) {
+        return ops.hamming(encoded[entry].words().data(), received_words, words);
+    };
+    if (hint_gap > 0 && 2 * distance_to(hint_entry) < hint_gap) {
+        return {hint_entry, true};
     }
     // Full scan, replicating decode_cached()'s fold exactly: strictly
     // smaller distance wins; an equal distance wins only with a canonically
     // smaller message.
     std::uint32_t best_entry = entries.front();
-    std::size_t best_distance = encoded[best_entry].hamming_distance(received);
+    std::size_t best_distance = distance_to(best_entry);
     for (std::size_t i = 1; i < entries.size(); ++i) {
         const std::uint32_t entry = entries[i];
-        const std::size_t distance = encoded[entry].hamming_distance(received);
+        const std::size_t distance = distance_to(entry);
         if (distance < best_distance ||
             (distance == best_distance &&
              message_less(messages[entry], messages[best_entry]))) {
@@ -166,34 +124,32 @@ std::uint32_t DistanceCode::nearest_entry(const Bitstring& received,
             best_distance = distance;
         }
     }
-    return best_entry;
+    return {best_entry, false};
 }
 
-std::uint32_t DistanceCode::nearest_entry_soa(const Bitstring& received,
-                                              std::span<const Bitstring> messages,
-                                              const WordSoa& encoded,
-                                              std::span<const std::uint32_t> entries,
-                                              std::uint32_t hint_entry,
-                                              std::span<const std::uint32_t> gaps,
-                                              std::vector<std::uint32_t>& distances,
-                                              simd::Kernel kernel) const {
+DistanceCode::Nearest DistanceCode::nearest_entry_soa(const Bitstring& received,
+                                                      std::span<const Bitstring> messages,
+                                                      const WordSoa& encoded,
+                                                      std::span<const std::uint32_t> entries,
+                                                      std::uint32_t hint_entry,
+                                                      std::uint32_t hint_gap,
+                                                      std::vector<std::uint32_t>& distances,
+                                                      const simd::SimdOps& ops) const {
     require(received.size() == length_,
             "DistanceCode::nearest_entry_soa: received has the wrong length");
     require(!entries.empty(), "DistanceCode::nearest_entry_soa: empty dictionary");
     const std::uint64_t* received_words = received.words().data();
-    if (!gaps.empty()) {
-        const std::size_t hint_distance = encoded.column_distance(received_words, hint_entry);
-        if (2 * hint_distance < gaps[hint_entry]) {
-            return hint_entry;
-        }
+    if (hint_gap > 0 &&
+        2 * encoded.column_distance(received_words, hint_entry) < hint_gap) {
+        return {hint_entry, true};
     }
     // All candidate distances in one vectorized sweep, then the exact
     // nearest_entry() fold over the entry order (padding columns are never
     // indexed by an entry, so their garbage-free zero-word distances are
     // computed and ignored).
     distances.resize(encoded.stride());
-    simd::ops(kernel).hamming_all(received_words, encoded.words(), encoded.data(),
-                                  encoded.stride(), distances.data());
+    ops.hamming_all(received_words, encoded.words(), encoded.data(), encoded.stride(),
+                    distances.data());
     std::uint32_t best_entry = entries.front();
     std::uint32_t best_distance = distances[best_entry];
     for (std::size_t i = 1; i < entries.size(); ++i) {
@@ -206,7 +162,7 @@ std::uint32_t DistanceCode::nearest_entry_soa(const Bitstring& received,
             best_distance = distance;
         }
     }
-    return best_entry;
+    return {best_entry, false};
 }
 
 DistanceCode::Decoded DistanceCode::decode_exhaustive(const Bitstring& received) const {

@@ -16,6 +16,8 @@
 // (exact, for small a; used to cross-validate the dictionary decoder).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -74,41 +76,78 @@ public:
                                          std::span<const Bitstring> encoded,
                                          std::span<const std::uint32_t> entries) const;
 
-    /// Per-entry unique-decoding radii for a cached dictionary: gaps[e] is
-    /// the minimum Hamming distance from encoded[e] to any *differently
-    /// encoded* entry of the dictionary — except that gaps[e] is forced to 0
-    /// when some other entry shares encoded[e] but carries a different
-    /// message (a content-hash collision), so the nearest_entry() shortcut
-    /// can never skip a tie it would need to break. Cost is one pairwise
-    /// scan, O(|dictionary|^2) distances; the transports amortize it once
-    /// per Codebook round.
-    std::vector<std::uint32_t> decode_gaps(std::span<const Bitstring> messages,
-                                           std::span<const Bitstring> encoded) const;
+    /// The radius every dictionary entry's gap starts from: length() + 1
+    /// exceeds any real distance, so an entry with no differently encoded
+    /// neighbor keeps a gap the nearest_entry() shortcut can always clear.
+    std::uint32_t open_gap() const noexcept { return static_cast<std::uint32_t>(length_ + 1); }
 
-    /// decode_gaps() with the leading block amortized: `prefix_gaps` must be
-    /// decode_gaps() of the first `prefix_gaps.size()` entries taken alone;
-    /// only pairs involving at least one later entry are scanned here,
-    /// O(prefix * suffix + suffix^2) instead of O(|dictionary|^2). The
-    /// codebook uses this to cache the node-payload block — which depends
-    /// only on the messages — across a fixed-messages nonce sweep, paying
-    /// per round only for the decoys. Result is identical to the full scan.
-    std::vector<std::uint32_t> extend_decode_gaps(
-        std::span<const Bitstring> messages, std::span<const Bitstring> encoded,
-        std::span<const std::uint32_t> prefix_gaps) const;
+    /// What entries `a` and `b` (a != b) bound each other's radius by: the
+    /// Hamming distance of their encodings when they differ, 0 when they
+    /// are equal but the messages are not (a content-hash collision, so the
+    /// nearest_entry() shortcut can never skip a tie it would need to
+    /// break), and open_gap() for equal encodings of equal messages (one
+    /// tie class, one output — harmless). Symmetric. The distance is an
+    /// inline popcount: codewords are a few words long, where a call into a
+    /// vector kernel costs more than the count.
+    std::uint32_t pair_gap(std::span<const Bitstring> messages,
+                           std::span<const Bitstring> encoded, std::uint32_t a,
+                           std::uint32_t b) const {
+        const std::vector<std::uint64_t>& lhs = encoded[a].words();
+        const std::uint64_t* rhs = encoded[b].words().data();
+        std::uint32_t distance = 0;
+        for (std::size_t w = 0; w < lhs.size(); ++w) {
+            distance += static_cast<std::uint32_t>(std::popcount(lhs[w] ^ rhs[w]));
+        }
+        if (distance != 0) {
+            return distance;
+        }
+        return messages[a] != messages[b] ? 0 : open_gap();
+    }
+
+    /// Entry `entry`'s unique-decoding radius `gap` folded over the entries
+    /// `others` (any range of entry ids; `entry` itself is skipped): the
+    /// minimum of `gap` and pair_gap() with each of them, so 0 once a
+    /// different message shares encoded[entry]. Folding every entry of a
+    /// set S into open_gap() gives e's gap over S, valid for any dictionary
+    /// inside S. Reads only, so every entry's gap can be folded on its own
+    /// thread.
+    template <typename Entries>
+    std::uint32_t fold_decode_gap(std::span<const Bitstring> messages,
+                                  std::span<const Bitstring> encoded, std::uint32_t entry,
+                                  const Entries& others, std::uint32_t gap) const {
+        for (const std::uint32_t other : others) {
+            if (gap == 0) {
+                break;
+            }
+            if (other != entry) {
+                gap = std::min(gap, pair_gap(messages, encoded, entry, other));
+            }
+        }
+        return gap;
+    }
+
+    /// What nearest_entry() found, and whether the radius shortcut settled
+    /// it without folding the dictionary.
+    struct Nearest {
+        std::uint32_t entry = 0;
+        bool shortcut = false;
+    };
 
     /// The dictionary entry decode_cached() would report as nearest for
     /// `received` over `entries` (same iteration order, same
     /// smallest-message tie-breaking), computed with a radius shortcut: if
-    /// 2 * d(received, encoded[hint_entry]) < gaps[hint_entry], the triangle
-    /// inequality makes hint_entry the strict nearest over ANY entry subset
-    /// containing it, and the dictionary scan is skipped entirely. With
-    /// empty `gaps` the full scan always runs. The transports pass the
+    /// 2 * d(received, encoded[hint_entry]) < hint_gap and hint_gap was
+    /// folded (fold_decode_gap) over a superset of `entries`, the triangle
+    /// inequality makes hint_entry the strict nearest over `entries`, and
+    /// the dictionary scan is skipped entirely. With hint_gap 0 the full
+    /// scan always runs. The transports pass the
     /// phase-1-accepted sender as the hint — in a correctly decoding round
     /// it is the true nearest, so most phase-2 decodes touch one encoding
-    /// instead of the whole dictionary.
+    /// instead of the whole dictionary. Distances run on `ops`' Hamming
+    /// kernel (every table gives the same distances).
     ///
     /// Tie classes note: when several entries share one encoding, they also
-    /// share one message (decode_gaps zeroes the gap otherwise), so the
+    /// share one message (fold_decode_gap zeroes the gap otherwise), so the
     /// returned entry may differ from decode_cached()'s within such a class
     /// while the decoded *message* — the decoding's output — is identical.
     ///
@@ -116,31 +155,27 @@ public:
     /// entry ids index `messages`/`encoded`/`gaps` (bounds are the caller's
     /// contract, unlike decode_cached; the transports pass codebook-built
     /// dictionaries).
-    std::uint32_t nearest_entry(const Bitstring& received,
-                                std::span<const Bitstring> messages,
-                                std::span<const Bitstring> encoded,
-                                std::span<const std::uint32_t> entries,
-                                std::uint32_t hint_entry,
-                                std::span<const std::uint32_t> gaps) const;
+    Nearest nearest_entry(const Bitstring& received, std::span<const Bitstring> messages,
+                          std::span<const Bitstring> encoded,
+                          std::span<const std::uint32_t> entries, std::uint32_t hint_entry,
+                          std::uint32_t hint_gap,
+                          const simd::SimdOps& ops = simd::ops()) const;
 
     /// nearest_entry() over a word-major SoA dictionary (common/word_soa.h):
     /// same hint shortcut, same fold, bit-identical result. When the hint
     /// misses, every candidate's distance is computed in one vectorized
-    /// sweep (SimdOps::hamming_all on `kernel`'s table) into `distances`
-    /// (caller scratch, resized to encoded.stride()) and the winner is
-    /// folded over `entries` exactly as nearest_entry does. Worth it when
-    /// `entries` covers most of the dictionary (the all_nodes policy);
-    /// sparse two-hop scans should keep the per-entry form.
+    /// sweep (SimdOps::hamming_all on `ops`) into `distances` (caller
+    /// scratch, resized to encoded.stride()) and the winner is folded over
+    /// `entries` exactly as nearest_entry does. Worth it when `entries`
+    /// covers most of the dictionary (the all_nodes policy); sparse two-hop
+    /// scans should keep the per-entry form.
     /// Precondition additionally: encoded was built from the same strings
     /// nearest_entry's `encoded` span would hold.
-    std::uint32_t nearest_entry_soa(const Bitstring& received,
-                                    std::span<const Bitstring> messages,
-                                    const WordSoa& encoded,
-                                    std::span<const std::uint32_t> entries,
-                                    std::uint32_t hint_entry,
-                                    std::span<const std::uint32_t> gaps,
-                                    std::vector<std::uint32_t>& distances,
-                                    simd::Kernel kernel = simd::Kernel::auto_best) const;
+    Nearest nearest_entry_soa(const Bitstring& received, std::span<const Bitstring> messages,
+                              const WordSoa& encoded, std::span<const std::uint32_t> entries,
+                              std::uint32_t hint_entry, std::uint32_t hint_gap,
+                              std::vector<std::uint32_t>& distances,
+                              const simd::SimdOps& ops = simd::ops()) const;
 
     /// Exact nearest-codeword decode over all 2^message_bits messages.
     /// Precondition: message_bits <= 24 (cost is 2^a encodes).

@@ -25,14 +25,27 @@ struct AlignedAllocator {
     template <typename U>
     AlignedAllocator(const AlignedAllocator<U>&) noexcept {}  // NOLINT
 
+    // A plain block one alignment unit larger, aligned by hand, with the
+    // block's own address in the word below the aligned one (plain blocks
+    // are 16-byte aligned, so there is always room). Not aligned operator
+    // new: glibc before 2.38 carves an aligned block out of a free chunk
+    // `alignment` bytes larger than the block, so a freed aligned block can
+    // never serve the next aligned request of its own size, and buffers
+    // rebuilt per job (a fresh TransportBatch's record arenas) leave one
+    // unusable hole each, growing a long-lived thread's heap without bound.
+    // A freed plain block serves the next same-size request.
     T* allocate(std::size_t count) {
-        const std::size_t bytes = count * sizeof(T);
-        // operator new with align_val_t so the optional allocation-counting
-        // hook (bench/alloc_hooks.cpp) sees these like any other allocation.
-        return static_cast<T*>(::operator new(bytes, std::align_val_t{alignment}));
+        if (count > (static_cast<std::size_t>(-1) - alignment) / sizeof(T)) {
+            throw std::bad_array_new_length();
+        }
+        void* const block = ::operator new(count * sizeof(T) + alignment);
+        const auto aligned = (reinterpret_cast<std::uintptr_t>(block) + alignment) &
+                             ~static_cast<std::uintptr_t>(alignment - 1);
+        reinterpret_cast<void**>(aligned)[-1] = block;
+        return reinterpret_cast<T*>(aligned);
     }
     void deallocate(T* p, std::size_t) noexcept {
-        ::operator delete(p, std::align_val_t{alignment});
+        ::operator delete(reinterpret_cast<void**>(p)[-1]);
     }
 
     template <typename U>

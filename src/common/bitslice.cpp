@@ -20,8 +20,17 @@ std::uint64_t next_matrix_epoch() {
 
 BitsliceMatrix::BitsliceMatrix(std::span<const Bitstring> columns,
                                std::span<const Bitstring> extra_columns) {
+    build(columns, extra_columns);
+}
+
+void BitsliceMatrix::build(std::span<const Bitstring> columns,
+                           std::span<const Bitstring> extra_columns) {
     columns_ = columns.size() + extra_columns.size();
+    weights_.clear();
     if (columns_ == 0) {
+        rows_ = lane_words_ = 0;
+        epoch_ = 0;
+        rows_data_.clear();
         return;
     }
     epoch_ = next_matrix_epoch();
@@ -96,7 +105,7 @@ void BitsliceMatrix::prepare_scratch(std::size_t limit, BitsliceScratch& scratch
 void BitsliceMatrix::and_not_below(const Bitstring& other, std::size_t limit,
                                    BitsliceScratch& scratch,
                                    std::vector<std::uint64_t>& accept,
-                                   simd::Kernel kernel) const {
+                                   const simd::SimdOps& ops) const {
     accept.assign(lane_words_, 0);
     if (columns_ == 0) {
         return;  // nothing to test (and no row length to match)
@@ -120,10 +129,9 @@ void BitsliceMatrix::and_not_below(const Bitstring& other, std::size_t limit,
     // accumulates into the acceptance mask (see file comment). Chunks of 7
     // keep the 3-bit counters overflow-free by construction.
     const std::vector<std::uint64_t>& transcript = other.words();
-    simd::ops(kernel).bitslice_pass(transcript.data(), transcript.size(),
-                                    rows_data_.data(), lane_words_,
-                                    scratch.low_.data(), scratch.planes_.data(),
-                                    scratch.plane_count_, accept.data());
+    ops.bitslice_pass(transcript.data(), transcript.size(), rows_data_.data(), lane_words_,
+                      scratch.low_.data(), scratch.planes_.data(), scratch.plane_count_,
+                      accept.data());
 }
 
 }  // namespace nb

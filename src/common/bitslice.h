@@ -72,6 +72,11 @@ public:
     BitsliceMatrix(std::span<const Bitstring> columns,
                    std::span<const Bitstring> extra_columns = {});
 
+    /// Re-transpose in place: the constructor's result, written into this
+    /// matrix's storage (no allocation when it already held as many rows
+    /// and lanes), under a new epoch.
+    void build(std::span<const Bitstring> columns, std::span<const Bitstring> extra_columns = {});
+
     std::size_t rows() const noexcept { return rows_; }          ///< transcript length b
     std::size_t columns() const noexcept { return columns_; }    ///< candidate count
 
@@ -96,11 +101,11 @@ public:
     /// counterpart of the scalar kernel, bit-identical by construction.
     /// `accept` is resized to lane_words(); padding bits beyond columns()
     /// are zero. Precondition: other.size() == rows(). The hot pass runs on
-    /// the dispatch table for `kernel` (see common/simd/simd.h); every
-    /// kernel produces the identical mask.
+    /// the dispatch table `ops` (see common/simd/simd.h); every table
+    /// produces the identical mask.
     void and_not_below(const Bitstring& other, std::size_t limit, BitsliceScratch& scratch,
                        std::vector<std::uint64_t>& accept,
-                       simd::Kernel kernel = simd::Kernel::auto_best) const;
+                       const simd::SimdOps& ops = simd::ops()) const;
 
 private:
     void prepare_scratch(std::size_t limit, BitsliceScratch& scratch) const;

@@ -281,14 +281,13 @@ void Bitstring::gather_into(std::span<const std::size_t> positions, Bitstring& o
 }
 
 void Bitstring::gather_mask_into(const Bitstring& mask, Bitstring& out,
-                                 simd::Kernel kernel) const {
+                                 const simd::SimdOps& ops) const {
     check_same_size(mask, "gather_mask_into");
     out.reset(mask.count());
     if (out.size_ == 0) {
         return;
     }
-    simd::ops(kernel).gather_bits(words_.data(), mask.words_.data(), words_.size(),
-                                  out.words_.data());
+    ops.gather_bits(words_.data(), mask.words_.data(), words_.size(), out.words_.data());
 }
 
 Bitstring Bitstring::scatter(std::size_t size, const std::vector<std::size_t>& positions,

@@ -167,12 +167,12 @@ public:
     /// gather_into at mask.one_positions(), without the position vector:
     /// out[i] = this[p_i] where p_i is the i-th 1-position of `mask`
     /// (ascending), i.e. the Notation 7 subsequence y at the 1-positions of
-    /// a codeword, taken straight off the packed codeword words. Dispatches
-    /// to the SIMD layer's word-wise PEXT walk — bit-identical to the
+    /// a codeword, taken straight off the packed codeword words. Runs the
+    /// SIMD layer's word-wise PEXT walk from `ops` — bit-identical to the
     /// position-list gather on every kernel (property-tested). Precondition:
     /// sizes match.
     void gather_mask_into(const Bitstring& mask, Bitstring& out,
-                          simd::Kernel kernel = simd::Kernel::auto_best) const;
+                          const simd::SimdOps& ops = simd::ops()) const;
 
     /// Scatter `values` into a fresh string of this size at `positions`:
     /// result[positions[i]] = values[i], other bits 0. This implements the

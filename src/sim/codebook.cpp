@@ -1,6 +1,7 @@
 #include "sim/codebook.h"
 
 #include <algorithm>
+#include <ranges>
 #include <thread>
 #include <unordered_set>
 
@@ -21,14 +22,14 @@ NB_FAILPOINT_DEFINE(fp_codebook_build, "codebook.build");
 /// spreads over every worker.
 constexpr std::size_t kBuildBlock = 128;
 
-/// body(begin, end) over [0, count) in kBuildBlock-sized blocks, on `pool`
-/// (nullptr = inline, in block order).
+/// body(worker, begin, end) over [0, count) in kBuildBlock-sized blocks, on
+/// `pool` (nullptr = inline, in block order, as worker 0).
 template <typename Body>
 void for_node_blocks(ThreadPool* pool, std::size_t count, const Body& body) {
     const std::size_t blocks = (count + kBuildBlock - 1) / kBuildBlock;
-    const auto run = [&](std::size_t, std::size_t block) {
+    const auto run = [&](std::size_t worker, std::size_t block) {
         const std::size_t begin = block * kBuildBlock;
-        body(begin, std::min(count, begin + kBuildBlock));
+        body(worker, begin, std::min(count, begin + kBuildBlock));
     };
     if (pool == nullptr) {
         for (std::size_t block = 0; block < blocks; ++block) {
@@ -87,6 +88,61 @@ std::vector<std::uint32_t> make_tail(std::size_t node_count, std::size_t decoy_c
         tail.push_back(n32 + 1 + static_cast<std::uint32_t>(i));
     }
     return tail;
+}
+
+/// One worker's scratch for co_occurring_payloads: stamp[w] == u + 1 iff
+/// node w was already collected for node u (so it is never cleared between
+/// nodes), and the collected entry ids.
+struct CoOccurrenceWalk {
+    std::vector<std::uint32_t> stamp;
+    std::vector<std::uint32_t> ids;
+};
+
+/// The payload-block entries that share a two_hop row with node u — every
+/// node of every row holding u, then the null entry — read off the
+/// codebook's own CSR rows, so owned and mmap-borrowed indexes walk alike.
+/// Rows are symmetric (w is in row(v) iff v is in row(w)), so the rows
+/// holding u are the rows of u's own row's nodes. The ids live in `walk`
+/// until its next call.
+std::span<const std::uint32_t> co_occurring_payloads(const Codebook& book, NodeId u,
+                                                     CoOccurrenceWalk& walk) {
+    const std::size_t n = book.graph().node_count();
+    const auto row_nodes = [&book](NodeId v) {
+        return book.candidate_entries(v).first(book.node_candidate_count(v));
+    };
+    walk.stamp.resize(n);
+    walk.ids.clear();
+    const std::uint32_t mark = u + 1;
+    for (const NodeId v : row_nodes(u)) {
+        for (const NodeId w : row_nodes(v)) {
+            if (walk.stamp[w] != mark) {
+                walk.stamp[w] = mark;
+                walk.ids.push_back(w);
+            }
+        }
+    }
+    walk.ids.push_back(static_cast<std::uint32_t>(n));
+    return walk.ids;
+}
+
+/// Every payload's `bits` bits packed end to end into `key`, reusing its
+/// storage: the payload-cache key. Bitstrings keep the unused high bits of
+/// their last word clear, so whole words can be or-ed in.
+void pack_payloads(std::span<const Bitstring> payloads, std::size_t bits,
+                   std::vector<std::uint64_t>& key) {
+    key.assign((payloads.size() * bits + 63) / 64, 0);
+    std::size_t at = 0;
+    for (const Bitstring& payload : payloads) {
+        for (const std::uint64_t word : payload.words()) {
+            const std::size_t shift = at % 64;
+            key[at / 64] |= word << shift;
+            const std::size_t taken = std::min<std::size_t>(64, bits - at % bits);
+            if (shift + taken > 64) {
+                key[at / 64 + 1] |= word >> (64 - shift);
+            }
+            at += taken;
+        }
+    }
 }
 
 /// Append node v's sorted two-hop candidate set to `entries` (no tail).
@@ -200,9 +256,11 @@ std::size_t Codebook::memory_bytes() const {
     bytes += (n + decoys) * (beep_bytes + dist_len * sizeof(std::size_t));  // codewords + ones
     bytes += entry_count * (2 * payload_bytes + dist_bytes);  // messages, tails, encodings
     bytes += n * beep_bytes;                                  // combined_schedules
-    if (params_.dictionary == DictionaryPolicy::all_nodes) {
-        bytes += entry_count * sizeof(std::uint32_t);  // decode gaps
-    }
+    bytes += entry_count * sizeof(std::uint32_t);             // decode gaps
+    // The payload-gap list at capacity: every entry a packed payload key and
+    // a built block (the round's own key is one more key).
+    const std::size_t key_bytes = (n * params_.payload_bits() + 63) / 64 * sizeof(std::uint64_t);
+    bytes += key_bytes + node_gap_capacity() * (key_bytes + (n + 1) * sizeof(std::uint32_t));
     if (bitsliced_rounds()) {
         // Bitslice matrix (beep_length planes over n+decoys columns) and the
         // word-major SoA mirror of candidate_encoded.
@@ -360,7 +418,7 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     round->inputs.resize(n);
     round->codewords.resize(n);
     round->one_positions.resize(n);
-    for_node_blocks(pool, n, [&](std::size_t begin, std::size_t end) {
+    for_node_blocks(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t v = begin; v < end; ++v) {
             round->messages[v] = messages[v];
             if (donor_message_equal(v)) {
@@ -399,7 +457,7 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     tally.encodes_reused += entry_count - regenerated;
     round->candidate_encoded.resize(entry_count);
     round->candidate_tails.resize(entry_count);
-    for_node_blocks(pool, entry_count, [&](std::size_t begin, std::size_t end) {
+    for_node_blocks(pool, entry_count, [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t e = begin; e < end; ++e) {
             if (e < n) {
                 round->candidate_messages[e] = round->payloads[e];
@@ -415,15 +473,11 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         }
     });
 
-    // Bitsliced phase-1 matrix and phase-2 decode radii: only the all_nodes
-    // policy scans dictionaries large enough to amortize them (see the
-    // header comment on Round). The matrix is built only from
-    // bitslice_min_candidates candidates up — below the crossover the
-    // transport's scalar early-exit loop wins and the transpose would be
-    // waste. The O(n^2) node-payload gap block is messages-keyed in
-    // node_gaps_, so a fixed-messages nonce sweep recomputes only the
-    // decoy rows each round.
-    const bool all_nodes = params_.dictionary == DictionaryPolicy::all_nodes;
+    // Bitsliced phase-1 matrix: only the all_nodes policy scans
+    // dictionaries large enough to amortize it (see the header comment on
+    // Round), and only from bitslice_min_candidates candidates up — below
+    // the crossover the transport's scalar early-exit loop wins and the
+    // transpose would be waste.
     if (bitsliced_rounds()) {
         if (donor != nullptr && !donor->codeword_slices.empty()) {
             // Same entry space, same nonce: the codeword planes are
@@ -438,7 +492,7 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
                 }
             }
         } else {
-            round->codeword_slices = BitsliceMatrix(round->codewords, round->decoy_codewords);
+            round->codeword_slices.build(round->codewords, round->decoy_codewords);
             // The phase-2 dictionary transposed word-major for the
             // vectorized full-sweep scan, gated with the bitslice matrix:
             // both pay off exactly when every node scans the whole entry
@@ -449,55 +503,55 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         round->codeword_slices = BitsliceMatrix();
         round->candidate_encoded_soa = WordSoa();
     }
-    if (all_nodes) {
-        const std::span<const Bitstring> all_messages(round->candidate_messages);
-        const std::span<const Bitstring> all_encoded(round->candidate_encoded);
-        std::shared_ptr<const NodeGapCache> node_gaps;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            for (auto it = node_gaps_.begin(); it != node_gaps_.end(); ++it) {
-                if ((*it)->messages == messages) {
-                    node_gaps_.splice(node_gaps_.begin(), node_gaps_, it);
-                    node_gaps = node_gaps_.front();
-                    break;
+    // Phase-2 decode radii (DESIGN.md section 5): each entry's gap over
+    // the entries it shares a dictionary row with. The payload block
+    // (entries 0..n folded over each other) depends only on the payloads
+    // and comes from node_gaps_; a round folds in only the decoys, which
+    // share every row, in one pass over the entry space: each entry meets
+    // every decoy once, and the pair bounds both — the payload entry's gap
+    // directly, the decoy's through its slot for the entry's block in
+    // decoy_gap_blocks, reduced after (a min, so the order is immaterial),
+    // since a handful of decoy rows would otherwise serialize on one
+    // worker. Every slot has one writer.
+    pack_payloads(round->payloads, params_.payload_bits(), round->payload_key);
+    round->payload_gaps = payload_gaps(*round, pool);
+    const std::span<const Bitstring> entry_messages(round->candidate_messages);
+    const std::span<const Bitstring> entry_encoded(round->candidate_encoded);
+    round->decode_gaps.resize(entry_count);
+    round->decoy_gap_blocks.resize((entry_count + kBuildBlock - 1) / kBuildBlock * decoys);
+    for_node_blocks(pool, entry_count, [&](std::size_t, std::size_t begin, std::size_t end) {
+        const std::span<std::uint32_t> decoy_slots(
+            round->decoy_gap_blocks.data() + begin / kBuildBlock * decoys, decoys);
+        std::ranges::fill(decoy_slots, distance.open_gap());
+        for (std::size_t e = begin; e < end; ++e) {
+            std::uint32_t gap = distance.open_gap();
+            for (std::size_t k = 0; k < decoys; ++k) {
+                const auto decoy = static_cast<std::uint32_t>(n + 1 + k);
+                if (decoy != e) {
+                    const std::uint32_t pair = distance.pair_gap(
+                        entry_messages, entry_encoded, static_cast<std::uint32_t>(e), decoy);
+                    gap = std::min(gap, pair);
+                    decoy_slots[k] = std::min(decoy_slots[k], pair);
                 }
+            }
+            if (e <= n) {
+                round->decode_gaps[e] = gap;
             }
         }
-        if (node_gaps == nullptr) {
-            auto fresh = std::make_shared<NodeGapCache>();
-            fresh->messages = messages;
-            fresh->gaps = distance.decode_gaps(all_messages.first(n + 1),
-                                               all_encoded.first(n + 1));
-            node_gaps = fresh;
-            std::lock_guard<std::mutex> lock(mutex_);
-            // Re-check under the insertion lock: a concurrent same-messages
-            // miss may have raced the build; inserting a duplicate would
-            // waste a slot and compound into thrash under capacity pressure.
-            bool already_cached = false;
-            for (const auto& entry : node_gaps_) {
-                if (entry->messages == messages) {
-                    already_cached = true;
-                    break;
-                }
-            }
-            if (!already_cached) {
-                node_gaps_.push_front(std::move(fresh));
-                while (node_gaps_.size() > node_gap_capacity()) {
-                    node_gaps_.pop_back();
-                }
-            }
+    });
+    for (std::size_t k = 0; k < decoys; ++k) {
+        std::uint32_t gap = distance.open_gap();
+        for (std::size_t b = k; b < round->decoy_gap_blocks.size(); b += decoys) {
+            gap = std::min(gap, round->decoy_gap_blocks[b]);
         }
-        round->decode_gaps =
-            distance.extend_decode_gaps(all_messages, all_encoded, node_gaps->gaps);
-    } else {
-        round->decode_gaps.clear();
+        round->decode_gaps[n + 1 + k] = gap;
     }
 
     // Fault-free phase-2 schedules CD(r_v, payload_v): D(payload_v) is
     // already in the dictionary, so only the scatter remains — and a donor
     // node with an unchanged message already scattered the identical pair.
     round->combined_schedules.resize(n);
-    for_node_blocks(pool, n, [&](std::size_t begin, std::size_t end) {
+    for_node_blocks(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t v = begin; v < end; ++v) {
             if (donor_message_equal(v)) {
                 round->combined_schedules[v] = donor->combined_schedules[v];
@@ -516,12 +570,73 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     return round;
 }
 
+std::shared_ptr<const std::vector<std::uint32_t>> Codebook::payload_gaps(
+    const Round& round, ThreadPool* pool) const {
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = std::ranges::find(node_gaps_, round.payload_key, &NodeGapCache::key);
+        if (it == node_gaps_.end()) {
+            node_gaps_.push_front({round.payload_key, nullptr});
+            while (node_gaps_.size() > node_gap_capacity()) {
+                node_gaps_.pop_back();
+            }
+            return nullptr;
+        }
+        node_gaps_.splice(node_gaps_.begin(), node_gaps_, it);
+        if (it->gaps != nullptr) {
+            return it->gaps;
+        }
+    }
+    // The key's second round: build the block. Each payload entry's
+    // co-occurrence set: under all_nodes the one row holds every entry;
+    // under two_hop node u's set comes from the row walk (O(sum of the row
+    // sizes in u's row) per node), and the null entry, in every row, meets
+    // every payload.
+    const std::size_t n = graph_.node_count();
+    const DistanceCode& distance = distance_code();
+    const std::span<const Bitstring> entry_messages(round.candidate_messages);
+    const std::span<const Bitstring> entry_encoded(round.candidate_encoded);
+    const auto payload_block =
+        std::views::iota(std::uint32_t{0}, static_cast<std::uint32_t>(n + 1));
+    const bool walk_rows = params_.dictionary == DictionaryPolicy::two_hop;
+    auto fresh = std::make_shared<std::vector<std::uint32_t>>(n + 1);
+    std::vector<CoOccurrenceWalk> walks(pool != nullptr ? pool->worker_count() : 1);
+    for_node_blocks(pool, n + 1, [&](std::size_t worker, std::size_t begin, std::size_t end) {
+        for (std::size_t e = begin; e < end; ++e) {
+            const auto entry = static_cast<std::uint32_t>(e);
+            (*fresh)[e] =
+                walk_rows && e < n
+                    ? distance.fold_decode_gap(entry_messages, entry_encoded, entry,
+                                               co_occurring_payloads(*this, entry, walks[worker]),
+                                               distance.open_gap())
+                    : distance.fold_decode_gap(entry_messages, entry_encoded, entry,
+                                               payload_block, distance.open_gap());
+        }
+    });
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.gap_builds;
+    // Re-find under the insertion lock: the entry may have been evicted, or
+    // a concurrent same-key round may have raced the build (keep one block).
+    const auto it = std::ranges::find(node_gaps_, round.payload_key, &NodeGapCache::key);
+    if (it == node_gaps_.end()) {
+        node_gaps_.push_front({round.payload_key, fresh});
+        while (node_gaps_.size() > node_gap_capacity()) {
+            node_gaps_.pop_back();
+        }
+        return fresh;
+    }
+    if (it->gaps == nullptr) {
+        it->gaps = fresh;
+    }
+    return it->gaps;
+}
+
 std::size_t Codebook::node_gap_capacity() {
     // 2x hardware concurrency covers moderate worker oversubscription (the
     // sweep worker count is user-set, not capped at the core count); the
     // floor of 64 makes even heavy oversubscription cheap, since an entry
-    // is a few KB while a thrashed recompute is O(n^2) distance decodes
-    // per round.
+    // is n * (payload_bits / 8 + 4) bytes, while a job whose key is evicted
+    // between its rounds never gets its block.
     const std::size_t hardware = std::thread::hardware_concurrency();
     return std::max<std::size_t>(64, 2 * hardware);
 }

@@ -45,6 +45,7 @@
 // once-per-transport contract.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -113,10 +114,11 @@ public:
 
         /// Transposed phase-1 candidate matrix for the bitsliced decoder:
         /// columns 0..n-1 are the node codewords, columns n.. the decoys
-        /// (the null payload has no codeword). Built, with decode_gaps, only
-        /// under the all_nodes dictionary policy — the O(n)-per-node scans
-        /// they accelerate; two-hop dictionaries are small enough that the
-        /// scalar kernels win (see DESIGN.md section 5).
+        /// (the null payload has no codeword). Built only under the
+        /// all_nodes dictionary policy from bitslice_min_candidates
+        /// candidates up — the O(n)-per-node scans it accelerates; two-hop
+        /// dictionaries are small enough that the scalar kernels win (see
+        /// DESIGN.md section 5).
         BitsliceMatrix codeword_slices;
 
         /// candidate_encoded transposed word-major (common/word_soa.h) for
@@ -125,9 +127,40 @@ public:
         /// same policy, same crossover; empty() otherwise.
         WordSoa candidate_encoded_soa;
 
-        /// Per-entry unique-decoding radii for the phase-2 radius shortcut
-        /// (DistanceCode::decode_gaps). Empty under two_hop.
+        /// The per-round part of the phase-2 decode radii (DESIGN.md
+        /// section 5), a pure function of (messages, nonce) under both
+        /// policies: a decoy's gap folded over the whole entry space, and a
+        /// payload entry's (0..n) folded over the decoys only. decode_gap()
+        /// joins in the payload block.
         std::vector<std::uint32_t> decode_gaps;
+
+        /// The payload block of the radii: entry e in 0..n folded over the
+        /// payload entries it co-occurs with (every entry of every
+        /// candidate row holding e). Shared with the codebook's payload-keyed
+        /// cache, which builds it only when a payload set comes back (see
+        /// Codebook::payload_gaps); null on a set's first round.
+        std::shared_ptr<const std::vector<std::uint32_t>> payload_gaps;
+
+        /// Entry `entry`'s unique-decoding radius for
+        /// DistanceCode::nearest_entry: its gap over its whole
+        /// co-occurrence set, or 0 (no shortcut) for a payload entry while
+        /// payload_gaps is null.
+        std::uint32_t decode_gap(std::uint32_t entry) const {
+            if (entry > payloads.size()) {
+                return decode_gaps[entry];
+            }
+            return payload_gaps != nullptr ? std::min(decode_gaps[entry], (*payload_gaps)[entry])
+                                           : 0;
+        }
+
+        /// The payload-cache key: every node's payload bits packed end to
+        /// end. Kept here so a recycled round reuses its storage.
+        std::vector<std::uint64_t> payload_key;
+
+        /// Scratch of the decoys' gap fold: decoy k folded over entry block
+        /// b at [b * decoy_count + k], reduced into decode_gaps. Kept here so
+        /// a recycled round reuses its storage.
+        std::vector<std::uint32_t> decoy_gap_blocks;
 
         /// Fault-free phase-2 schedules CD(r_v, payload_v) and the fault-free
         /// energy totals (phase 1 beeps the codewords themselves).
@@ -182,9 +215,10 @@ public:
     const Graph& graph() const noexcept { return graph_; }
 
     /// Deterministic estimate of this codebook's resident footprint: the
-    /// candidate entry index plus one cached Round of derived material,
-    /// computed from the code dimensions (codes themselves are procedural —
-    /// seeds and dimensions). An estimate rather than a measurement so the
+    /// candidate entry index, one cached Round of derived material and the
+    /// payload-gap list at node_gap_capacity(), computed from the code
+    /// dimensions (codes themselves are procedural — seeds and
+    /// dimensions). An estimate rather than a measurement so the
     /// CodebookCache's byte-accounted eviction is a pure function of the
     /// build parameters, independent of allocator, thread interleaving, and
     /// of whether the index is owned or mmap-borrowed (see DESIGN.md
@@ -200,6 +234,14 @@ public:
     /// direct build through this digest. Stats-neutral and thread-safe.
     std::uint64_t fingerprint() const;
 
+    /// Payload-gap entries a codebook keeps (see payload_gaps below), each
+    /// a packed payload key and, once built, n + 1 radii; memory_bytes()
+    /// charges the list at this capacity. Sized to exceed any plausible
+    /// number of concurrent sweep jobs (each with its own messages) sharing
+    /// this codebook — if a live job's entry were evicted between its
+    /// rounds, the saving the cache exists for would be lost to thrash.
+    static std::size_t node_gap_capacity();
+
     /// Construction counters for the once-per-transport contract.
     struct Stats {
         std::size_t code_builds = 0;      ///< code-triple constructions
@@ -207,6 +249,7 @@ public:
         std::size_t round_recycles = 0;   ///< rebuilds written into the superseded round
         std::size_t codeword_builds = 0;  ///< beep codewords generated in total
         std::size_t payload_encodes = 0;  ///< distance-code encodings generated
+        std::size_t gap_builds = 0;       ///< payload blocks built (a payload set's second round)
 
         // Same-nonce donor efficacy (zero unless a round is rebuilt under
         // the nonce of the round it replaces).
@@ -245,23 +288,29 @@ private:
         return entries_.subspan(offsets_[r], offsets_[r + 1] - offsets_[r]);
     }
 
-    /// The node-payload block of the phase-2 decode radii (entries 0..n:
-    /// payloads + null) depends only on `messages`, not the nonce, so a
-    /// fixed-messages nonce sweep reuses it and each round pays only for
-    /// the decoy rows (DistanceCode::extend_decode_gaps). Kept as a small
-    /// MRU list rather than one slot: concurrent sweep jobs sharing this
-    /// codebook differ exactly in their messages, and a single slot would
-    /// thrash — re-running the O(n^2) gap computation every round.
+    /// The payload block of the phase-2 decode radii (entries 0..n: the
+    /// node payloads and the null entry, each folded over the payload
+    /// entries it co-occurs with) depends only on the payloads, not the
+    /// nonce, so a fixed-messages nonce sweep reuses it and each round pays
+    /// only for the decoy rows. Kept under both dictionary policies, as a
+    /// small MRU list rather than one slot: concurrent sweep jobs sharing
+    /// this codebook differ exactly in their messages, and a single slot
+    /// would thrash. The key is the packed payload bits (Round::payload_key);
+    /// `gaps` stays null until the key comes back.
     struct NodeGapCache {
-        std::vector<std::optional<Bitstring>> messages;  ///< the cache key
-        std::vector<std::uint32_t> gaps;
+        std::vector<std::uint64_t> key;
+        std::shared_ptr<const std::vector<std::uint32_t>> gaps;
     };
 
-    /// Node-gap entries kept: sized to exceed any plausible number of
-    /// concurrent sweep jobs (each with its own messages) sharing this
-    /// codebook — if a live job's entry were evicted between its rounds,
-    /// the O(n^2) saving the cache exists for would be lost to thrash.
-    static std::size_t node_gap_capacity();
+    /// The payload block for `round`'s payload_key, whose payload entries
+    /// must be built: node_gaps_'s entry when built, else null. A key seen
+    /// for the first time is only recorded: under two_hop the block costs a
+    /// row walk per node, more than the full scans it saves in one round
+    /// (DESIGN.md section 5), so traffic whose messages change every round
+    /// never pays for it. On the key's second round the block is built over
+    /// node blocks on `pool`.
+    std::shared_ptr<const std::vector<std::uint32_t>> payload_gaps(const Round& round,
+                                                                   ThreadPool* pool) const;
 
     const Graph& graph_;
     SimulationParams params_;
@@ -278,7 +327,7 @@ private:
 
     mutable std::mutex mutex_;
     mutable std::shared_ptr<const Round> cached_;
-    mutable std::list<std::shared_ptr<const NodeGapCache>> node_gaps_;  ///< MRU first
+    mutable std::list<NodeGapCache> node_gaps_;  ///< MRU first
     mutable Stats stats_;
 };
 

@@ -70,7 +70,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     ws.accepted_decoys.clear();
     if (c.bitsliced) {
         c.phase1_decoder->accept_all(ws.heard1, rd.codeword_slices, ws.slice_scratch,
-                                     ws.accept_mask, c.kernel);
+                                     ws.accept_mask, *c.ops);
         for (std::size_t w = 0; w < ws.accept_mask.size(); ++w) {
             std::uint64_t bits = ws.accept_mask[w];
             while (bits != 0) {
@@ -89,14 +89,13 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     } else {
         for (std::size_t i = 0; i < node_candidates; ++i) {
             const NodeId u = entries[i];
-            if (u != v && c.phase1_decoder->accepts_codeword(ws.heard1, rd.codewords[u],
-                                                             c.kernel)) {
+            if (u != v &&
+                c.phase1_decoder->accepts_codeword(ws.heard1, rd.codewords[u], *c.ops)) {
                 ws.accepted_nodes.push_back(u);
             }
         }
         for (std::size_t i = 0; i < c.decoy_count; ++i) {
-            if (c.phase1_decoder->accepts_codeword(ws.heard1, rd.decoy_codewords[i],
-                                                   c.kernel)) {
+            if (c.phase1_decoder->accepts_codeword(ws.heard1, rd.decoy_codewords[i], *c.ops)) {
                 ws.accepted_decoys.push_back(i);
             }
         }
@@ -135,23 +134,25 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
         // the packed codeword; the scalar kernel keeps the position-list
         // gather (faster than emulated PEXT). Identical bits either way
         // — positions ARE the codeword's 1-positions (property-tested).
-        if (c.kernel == simd::Kernel::scalar) {
+        if (c.position_gather) {
             ws.heard2.gather_into(positions, ws.gathered);
         } else {
-            ws.heard2.gather_mask_into(codeword, ws.gathered, c.kernel);
+            ws.heard2.gather_mask_into(codeword, ws.gathered, *c.ops);
         }
         // Full-dictionary sweeps (all_nodes above the bitslice
         // crossover) run the vectorized SoA scan; the sparse two-hop
         // entry lists keep the per-entry fold. Same hint shortcut, same
         // winner, bit-identical (see nearest_entry_soa).
-        if (!rd.candidate_encoded_soa.empty()) {
-            return c.distance_code->nearest_entry_soa(
-                ws.gathered, rd.candidate_messages, rd.candidate_encoded_soa, entries,
-                hint_entry, rd.decode_gaps, ws.distances, c.kernel);
-        }
-        return c.distance_code->nearest_entry(ws.gathered, rd.candidate_messages,
-                                              rd.candidate_encoded, entries, hint_entry,
-                                              rd.decode_gaps);
+        const DistanceCode::Nearest nearest =
+            rd.candidate_encoded_soa.empty()
+                ? c.distance_code->nearest_entry(ws.gathered, rd.candidate_messages,
+                                                 rd.candidate_encoded, entries, hint_entry,
+                                                 rd.decode_gap(hint_entry), *c.ops)
+                : c.distance_code->nearest_entry_soa(
+                      ws.gathered, rd.candidate_messages, rd.candidate_encoded_soa, entries,
+                      hint_entry, rd.decode_gap(hint_entry), ws.distances, *c.ops);
+        ++(nearest.shortcut ? ws.shortcut_hits : ws.full_scans);
+        return nearest.entry;
     };
 
     // Deliveries land as fixed-stride records in this worker's arena;

@@ -59,6 +59,11 @@ struct DecodeWorkspace {
     std::vector<std::uint64_t> sort_tmp;   ///< record rotation buffer
     BitsliceScratch slice_scratch;
     std::vector<const Bitstring*> expected;
+
+    /// This worker's phase-2 decodes since the transport last collected
+    /// them: settled by the radius shortcut, or by a dictionary fold.
+    std::size_t shortcut_hits = 0;
+    std::size_t full_scans = 0;
 };
 
 /// The one pointer the decode loop's closure captures: per-round constants
@@ -88,7 +93,12 @@ struct DecodeContext {
     std::size_t n = 0;
     std::size_t decoy_count = 0;
     bool bitsliced = false;
-    simd::Kernel kernel = simd::Kernel::auto_best;
+    /// The dispatch table params.simd_kernel resolves to, looked up once per
+    /// round; every kernel call of the decode runs on it.
+    const simd::SimdOps* ops = nullptr;
+    /// Gather phase-2 subsequences by position list instead of PEXT: the
+    /// scalar table's emulated PEXT is slower than the list walk.
+    bool position_gather = false;
 };
 
 /// Decode node `v` on `worker`'s scratch: phase-1 acceptance, phase-2

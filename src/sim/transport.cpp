@@ -156,9 +156,11 @@ void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundS
     ctx.n = n;
     ctx.decoy_count = codebook().decoy_count();
     ctx.bitsliced = !round.codeword_slices.empty();
-    // Resolved once per round: what params_.simd_kernel actually runs as on
-    // this build/CPU (auto_best defers to NB_SIMD_KERNEL, then detection).
-    ctx.kernel = simd::resolve_kernel(params_.simd_kernel);
+    // Resolved once per round: the table params_.simd_kernel actually runs
+    // as on this build/CPU (auto_best defers to NB_SIMD_KERNEL, then
+    // detection).
+    ctx.ops = &simd::ops(params_.simd_kernel);
+    ctx.position_gather = ctx.ops == &simd::ops(simd::Kernel::scalar);
 
     pool_->parallel_for(n, [&ctx](std::size_t worker, std::size_t node) {
         transport_detail::decode_node(ctx, worker, static_cast<NodeId>(node));
@@ -171,6 +173,12 @@ void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundS
         stats.delivery_mismatches += diag.delivery_mismatches;
     }
     stats.perfect = stats.delivery_mismatches == 0;
+    for (DecodeWorkspace& ws : scratch.workspaces) {
+        batch.phase2_decodes_.shortcut_hits += ws.shortcut_hits;
+        batch.phase2_decodes_.full_scans += ws.full_scans;
+        ws.shortcut_hits = 0;
+        ws.full_scans = 0;
+    }
 }
 
 }  // namespace nb

@@ -32,6 +32,7 @@ void TransportBatch::prepare(std::size_t rounds, std::size_t nodes, std::size_t 
     // no allocator here.
     slots_.assign(rounds * nodes, Slot{});
     stats_.assign(rounds, TransportRoundStats{});
+    phase2_decodes_ = {};
     std::size_t previous_words = 0;
     for (const std::size_t used : arena_used_) {
         previous_words += used;
@@ -57,6 +58,8 @@ void TransportBatch::prepare(std::size_t rounds, std::size_t nodes, std::size_t 
         for (const auto& other : workspaces) {
             ws.reserve_like(other);
         }
+        ws.shortcut_hits = 0;
+        ws.full_scans = 0;
     }
 }
 

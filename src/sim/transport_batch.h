@@ -61,6 +61,14 @@ struct TransportRoundStats {
     bool perfect = true;
 };
 
+/// How the phase-2 decodes of one simulate_rounds_into call were settled.
+/// Observability only: no canonical output (ScenarioResult, sweep
+/// artifacts, journals) reads these counts.
+struct Phase2DecodeCounts {
+    std::size_t shortcut_hits = 0;  ///< by the radius shortcut, no dictionary fold
+    std::size_t full_scans = 0;     ///< by a fold over the node's whole dictionary
+};
+
 class TransportBatch {
 public:
     TransportBatch();
@@ -80,6 +88,11 @@ public:
     std::size_t message_words() const noexcept { return stride_; }
 
     const TransportRoundStats& stats(std::size_t round) const;
+
+    /// Totals over every round of the last simulate_rounds_into call (zero
+    /// for transports without a phase-2 decode), reduced from per-worker
+    /// tallies in worker order.
+    const Phase2DecodeCounts& phase2_decodes() const noexcept { return phase2_decodes_; }
 
     /// Messages node v delivered in `round` (sorted by message_less, exactly
     /// as TransportRound::delivered[v] would be).
@@ -155,6 +168,7 @@ private:
     std::size_t stride_ = 0;
     std::vector<Slot> slots_;  ///< rounds * nodes, row-major by round
     std::vector<TransportRoundStats> stats_;
+    Phase2DecodeCounts phase2_decodes_;
     std::vector<AlignedWords> arenas_;     ///< one per pool worker
     std::vector<std::size_t> arena_used_;  ///< bump cursors, in words
     std::shared_ptr<Scratch> scratch_;

@@ -99,6 +99,7 @@ void expect_same_round(const Codebook::Round& a, const Codebook::Round& b) {
     EXPECT_EQ(a.phase1_beeps, b.phase1_beeps);
     EXPECT_EQ(a.phase2_beeps, b.phase2_beeps);
     EXPECT_EQ(a.decode_gaps, b.decode_gaps);
+    EXPECT_EQ(a.payload_key, b.payload_key);
     expect_same_slices(a.codeword_slices, b.codeword_slices);
     expect_same_soa(a.candidate_encoded_soa, b.candidate_encoded_soa);
     EXPECT_EQ(a.rng.derive(1).next_u64(), b.rng.derive(1).next_u64());
@@ -113,6 +114,7 @@ void expect_same_build_stats(const Codebook::Stats& a, const Codebook::Stats& b)
     EXPECT_EQ(a.payload_encodes, b.payload_encodes);
     EXPECT_EQ(a.codeword_reuses, b.codeword_reuses);
     EXPECT_EQ(a.payload_encode_reuses, b.payload_encode_reuses);
+    EXPECT_EQ(a.gap_builds, b.gap_builds);
 }
 
 /// Build rounds for `keys` in order on a fresh codebook per pool size and on
@@ -462,6 +464,32 @@ TEST(CodebookRecycle, WarmRoundBuildAllocationsDoNotGrowWithN) {
         per_n.push_back(worst);
     }
     EXPECT_EQ(per_n[0], per_n[1]);
+}
+
+TEST(CodebookRecycle, AllNodesWarmRoundBuildAllocatesNothing) {
+    // The all_nodes twin: above the bitslice crossover a warm rebuild under
+    // fixed messages re-transposes the bitslice matrix and the SoA
+    // dictionary and folds the decoys into the cached gap block, all in the
+    // recycled round's storage.
+    const SimulationParams params = build_params(DictionaryPolicy::all_nodes);
+    ThreadPool pool(4);
+    for (const std::size_t n : {2048u, 8192u}) {
+        SCOPED_TRACE("n " + std::to_string(n));
+        const Graph graph = make_ring(n);
+        const auto messages = make_messages(graph, params.message_bits, 20);
+        const Codebook book(graph, params);
+        (void)book.round(messages, 1, &pool);
+        (void)book.round(messages, 2, &pool);
+        ASSERT_FALSE(book.round(messages, 3, &pool)->codeword_slices.empty());
+        std::uint64_t worst = 0;
+        for (std::uint64_t nonce = 4; nonce < 8; ++nonce) {
+            worst = std::max(
+                worst, allocations_of([&] { (void)book.round(messages, nonce, &pool); }));
+        }
+        EXPECT_EQ(book.stats().round_recycles, 6u);
+        EXPECT_EQ(book.stats().gap_builds, 1u);
+        EXPECT_EQ(worst, 0u);
+    }
 }
 
 TEST(CodebookRecycle, WarmTransportBatchAllocationsDoNotGrowWithN) {

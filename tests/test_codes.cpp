@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -202,6 +203,20 @@ TEST(DistanceCode, EmptyDictionaryGivesNothing) {
     EXPECT_FALSE(code.decode(Bitstring(64), {}).has_value());
 }
 
+/// Every entry's gap folded over the whole dictionary (entries 0..count).
+std::vector<std::uint32_t> full_gaps(const DistanceCode& code,
+                                     std::span<const Bitstring> messages,
+                                     std::span<const Bitstring> encoded) {
+    const auto all =
+        std::views::iota(std::uint32_t{0}, static_cast<std::uint32_t>(encoded.size()));
+    std::vector<std::uint32_t> gaps;
+    for (const std::uint32_t e : all) {
+        gaps.push_back(
+            code.fold_decode_gap(messages, encoded, e, all, code.open_gap()));
+    }
+    return gaps;
+}
+
 TEST(DistanceCode, NearestEntryMatchesDecodeCached) {
     // The radius-shortcut decoder must pick the same message as the full
     // decode_cached scan for noisy receptions (shortcut hits), garbage
@@ -215,7 +230,8 @@ TEST(DistanceCode, NearestEntryMatchesDecodeCached) {
         encoded.push_back(code.encode(messages[i]));
         entries.push_back(static_cast<std::uint32_t>(i));
     }
-    const auto gaps = code.decode_gaps(messages, encoded);
+    const auto gaps = full_gaps(code, messages, encoded);
+    std::size_t shortcuts = 0;
     for (std::size_t i = 0; i < messages.size(); ++i) {
         for (const double epsilon : {0.0, 0.05, 0.3, 0.5}) {
             Bitstring received = encoded[i];
@@ -223,20 +239,23 @@ TEST(DistanceCode, NearestEntryMatchesDecodeCached) {
             const auto expected = code.decode_cached(received, messages, encoded, entries);
             ASSERT_TRUE(expected.has_value());
             const std::uint32_t hint = entries[i];
-            const std::uint32_t with_gaps =
-                code.nearest_entry(received, messages, encoded, entries, hint, gaps);
-            const std::uint32_t without_gaps =
-                code.nearest_entry(received, messages, encoded, entries, hint, {});
-            EXPECT_EQ(messages[with_gaps], expected->message);
-            EXPECT_EQ(messages[without_gaps], expected->message);
+            const auto with_gaps =
+                code.nearest_entry(received, messages, encoded, entries, hint, gaps[hint]);
+            const auto without_gaps =
+                code.nearest_entry(received, messages, encoded, entries, hint, 0);
+            EXPECT_EQ(messages[with_gaps.entry], expected->message);
+            EXPECT_EQ(messages[without_gaps.entry], expected->message);
+            EXPECT_FALSE(without_gaps.shortcut);
+            shortcuts += with_gaps.shortcut ? 1 : 0;
         }
     }
+    EXPECT_GT(shortcuts, 0u);
 }
 
 TEST(DistanceCode, NearestEntryHandlesDuplicateMessages) {
     // Entries sharing one message share one encoding; the shortcut may
     // return either entry of the class but must decode the same message,
-    // and decode_gaps must keep the class's gap usable.
+    // and the gap fold must keep the class's gap usable.
     const DistanceCode code(8, 200, 33);
     Rng rng(7);
     auto messages = random_messages(8, 20, rng);
@@ -247,16 +266,16 @@ TEST(DistanceCode, NearestEntryHandlesDuplicateMessages) {
         encoded.push_back(code.encode(messages[i]));
         entries.push_back(static_cast<std::uint32_t>(i));
     }
-    const auto gaps = code.decode_gaps(messages, encoded);
+    const auto gaps = full_gaps(code, messages, encoded);
     EXPECT_GT(gaps[3], 0u);
     EXPECT_EQ(gaps[3], gaps.back());
     Bitstring received = encoded[3];
     received.apply_noise(rng, 0.05);
     const auto expected = code.decode_cached(received, messages, encoded, entries);
-    const std::uint32_t entry = code.nearest_entry(
-        received, messages, encoded, entries, entries.back(), gaps);
+    const auto nearest = code.nearest_entry(received, messages, encoded, entries,
+                                            entries.back(), gaps.back());
     ASSERT_TRUE(expected.has_value());
-    EXPECT_EQ(messages[entry], expected->message);
+    EXPECT_EQ(messages[nearest.entry], expected->message);
 }
 
 TEST(DistanceCode, DecodeGapsReflectPairwiseDistances) {
@@ -267,7 +286,7 @@ TEST(DistanceCode, DecodeGapsReflectPairwiseDistances) {
     for (const auto& message : messages) {
         encoded.push_back(code.encode(message));
     }
-    const auto gaps = code.decode_gaps(messages, encoded);
+    const auto gaps = full_gaps(code, messages, encoded);
     for (std::size_t i = 0; i < encoded.size(); ++i) {
         std::size_t expected = code.length() + 1;
         for (std::size_t j = 0; j < encoded.size(); ++j) {
@@ -280,9 +299,10 @@ TEST(DistanceCode, DecodeGapsReflectPairwiseDistances) {
 }
 
 TEST(DistanceCode, ExtendDecodeGapsMatchesFullScan) {
-    // Splitting the pairwise scan into a cached prefix block plus the
-    // extension over later entries must reproduce the full scan exactly,
-    // including conflict zeroing across the split.
+    // A gap folded over a prefix block, then extended by folding the later
+    // entries into it (the codebook's cached payload block plus the
+    // per-round decoys), must reproduce the full fold exactly — including
+    // conflict zeroing across the split.
     const DistanceCode code(8, 200, 41);
     Rng rng(19);
     auto messages = random_messages(8, 25, rng);
@@ -291,13 +311,23 @@ TEST(DistanceCode, ExtendDecodeGapsMatchesFullScan) {
     for (const auto& message : messages) {
         encoded.push_back(code.encode(message));
     }
-    const auto full = code.decode_gaps(messages, encoded);
-    for (const std::size_t prefix : {std::size_t{0}, std::size_t{1}, std::size_t{10},
-                                     std::size_t{25}, messages.size()}) {
-        const std::span<const Bitstring> m(messages);
-        const std::span<const Bitstring> e(encoded);
-        const auto prefix_gaps = code.decode_gaps(m.first(prefix), e.first(prefix));
-        EXPECT_EQ(code.extend_decode_gaps(m, e, prefix_gaps), full) << "prefix " << prefix;
+    // A forced collision: entry 1's encoding under a different message.
+    messages.push_back(messages[1]);
+    messages.back().flip(0);
+    encoded.push_back(encoded[1]);
+    const auto full = full_gaps(code, messages, encoded);
+    EXPECT_EQ(full[1], 0u);
+    EXPECT_EQ(full.back(), 0u);
+    const auto count = static_cast<std::uint32_t>(messages.size());
+    for (const std::uint32_t prefix : {0u, 1u, 10u, 25u, count}) {
+        for (std::uint32_t e = 0; e < count; ++e) {
+            const std::uint32_t head = code.fold_decode_gap(
+                messages, encoded, e, std::views::iota(0u, prefix), code.open_gap());
+            EXPECT_EQ(code.fold_decode_gap(messages, encoded, e,
+                                           std::views::iota(prefix, count), head),
+                      full[e])
+                << "prefix " << prefix << " entry " << e;
+        }
     }
 }
 

@@ -4,18 +4,23 @@
 // spec. A codebook directory or a sweep journal written by an older build
 // must stay usable by a newer one, so a change that moves any of these
 // values breaks warm starts or journal replay and has to be deliberate.
+// Also pinned: the canonical bytes of a small sweep's nb-sweep/v1 artifact
+// and journal, which no observability counter may reach.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "graph/generators.h"
 #include "scenarios/registry.h"
 #include "scenarios/scenario.h"
+#include "scenarios/sweep.h"
 #include "sim/codebook.h"
 #include "sim/codebook_cache.h"
 #include "sim/codebook_io.h"
@@ -126,6 +131,47 @@ TEST(CompatPins, ShippedAndDemoSpecFingerprints) {
         ++checked;
     }
     EXPECT_EQ(checked, pinned.size());
+}
+
+TEST(CompatPins, SweepArtifactAndJournalBytes) {
+    // Both dictionary policies at two noise rates, with decoys. The phase-2
+    // shortcut tallies (TransportBatch::phase2_decodes) and the codebook's
+    // gap_builds are observability only: the artifact and the journal keep
+    // the bytes recorded before either counter existed.
+    SweepSpec sweep;
+    sweep.name = "gap-pin";
+    for (const auto policy : {DictionaryPolicy::two_hop, DictionaryPolicy::all_nodes}) {
+        ScenarioSpec spec;
+        spec.name = policy == DictionaryPolicy::two_hop ? "two_hop" : "all_nodes";
+        spec.topology.family = TopologySpec::Family::random_regular;
+        spec.topology.n = 48;
+        spec.topology.degree = 6;
+        spec.topology.seed = 7;
+        spec.workload.message_bits = 6;
+        spec.workload.seed = 3;
+        spec.decoy_count = 8;
+        spec.dictionary = policy;
+        spec.rounds = 3;
+        sweep.bases.push_back(spec);
+    }
+    sweep.axes.epsilons = {0.05, 0.2};
+    SweepOptions options;
+    options.workers = 1;  // one worker: journal records land in job order
+    options.journal_path = ::testing::TempDir() + "CompatPinsSweep.jsonl";
+    std::remove(options.journal_path.c_str());
+    const SweepResult result = run_sweep(sweep, options);
+    std::ostringstream artifact;
+    JsonWriter json(artifact);
+    sweep_results_json(json, result);
+    const std::string journal = read_file(options.journal_path);
+    std::remove(options.journal_path.c_str());
+
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llxULL",
+                  static_cast<unsigned long long>(fnv1a(artifact.str())));
+    EXPECT_EQ(fnv1a(artifact.str()), 0x0206ccb2974ada18ULL) << hex;
+    std::snprintf(hex, sizeof hex, "0x%016llxULL", static_cast<unsigned long long>(fnv1a(journal)));
+    EXPECT_EQ(fnv1a(journal), 0xf6c5d1c9eb6220afULL) << hex;
 }
 
 }  // namespace

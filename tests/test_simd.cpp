@@ -9,6 +9,8 @@
 // equivalence and the steady-state zero-allocation contract.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -73,6 +75,30 @@ TEST(SimdKernels, ParseKernelRoundTrips) {
     for (const auto k : supported_kernels()) {
         EXPECT_EQ(simd::parse_kernel(simd::kernel_name(k), &ok), k);
         EXPECT_TRUE(ok);
+    }
+}
+
+TEST(AlignedWords, BlocksAreCacheLineAlignedAndKeepTheirWords) {
+    // Sizes from one word past the mmap threshold, each as a fresh buffer
+    // and as one buffer grown in place, the way a record arena grows.
+    const auto aligned = [](const AlignedWords& words) {
+        return reinterpret_cast<std::uintptr_t>(words.data()) %
+                   AlignedAllocator<std::uint64_t>::alignment ==
+               0;
+    };
+    AlignedWords grown;
+    for (std::size_t words = 1; words <= (std::size_t{1} << 16); words = words * 3 / 2 + 1) {
+        AlignedWords fresh(words);
+        std::iota(fresh.begin(), fresh.end(), std::uint64_t{0});
+        ASSERT_TRUE(aligned(fresh)) << words;
+        ASSERT_EQ(fresh.back(), words - 1);
+        const std::size_t kept = grown.size();
+        grown.resize(words);
+        std::iota(grown.begin() + static_cast<std::ptrdiff_t>(kept), grown.end(), kept);
+        ASSERT_TRUE(aligned(grown)) << words;
+        for (std::size_t i = 0; i < words; ++i) {
+            ASSERT_EQ(grown[i], i) << words;
+        }
     }
 }
 
@@ -188,7 +214,7 @@ TEST(SimdKernels, BitslicePassMatchesScalarAndPackedKernel) {
                 BitsliceScratch scratch;
                 std::vector<std::uint64_t> scalar_accept;
                 matrix.and_not_below(transcript, limit, scratch, scalar_accept,
-                                     simd::Kernel::scalar);
+                                     simd::ops(simd::Kernel::scalar));
                 for (std::size_t c = 0; c < columns; ++c) {
                     const bool bit = (scalar_accept[c / 64] >> (c % 64)) & 1;
                     EXPECT_EQ(bit, candidates[c].and_not_count_below(transcript, limit))
@@ -197,7 +223,7 @@ TEST(SimdKernels, BitslicePassMatchesScalarAndPackedKernel) {
                 for (const auto kernel : supported_kernels()) {
                     BitsliceScratch fresh;
                     std::vector<std::uint64_t> accept;
-                    matrix.and_not_below(transcript, limit, fresh, accept, kernel);
+                    matrix.and_not_below(transcript, limit, fresh, accept, simd::ops(kernel));
                     EXPECT_EQ(accept, scalar_accept)
                         << simd::ops(kernel).name << " columns=" << columns
                         << " limit=" << limit;
@@ -242,7 +268,7 @@ TEST(SimdKernels, GatherBitsMatchesPositionGatherOnEveryKernel) {
             src.gather_into(mask.one_positions(), want);
             for (const auto kernel : supported_kernels()) {
                 Bitstring got;
-                src.gather_mask_into(mask, got, kernel);
+                src.gather_mask_into(mask, got, simd::ops(kernel));
                 EXPECT_EQ(got, want) << simd::ops(kernel).name << " bits=" << bits
                                      << " shape=" << shape;
             }
