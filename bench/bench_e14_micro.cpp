@@ -286,17 +286,24 @@ void BM_SimdBitslicePass(benchmark::State& state, simd::Kernel kernel) {
                             static_cast<std::int64_t>(lanes * 64));  // candidates/s
 }
 
-void BM_SimdGatherBits(benchmark::State& state, simd::Kernel kernel) {
+void BM_SimdGatherPositions(benchmark::State& state, simd::Kernel kernel,
+                            std::size_t transcript_bits, std::size_t weight) {
     // The phase-2 subsequence gather: the heard transcript's bits at a
-    // codeword's ~176 1-positions, packed (PEXT walk on the AVX tables).
+    // codeword's 1-positions, packed. Two shapes: all_nodes at n=1024
+    // (6336 bits, 176 positions) and two_hop on regular-2k (13056 bits,
+    // 192 positions — fewer than one position per transcript word).
     Rng rng(11);
-    const AlignedWords heard = random_density_words(rng, kBeepWords, 2);
-    const AlignedWords mask = random_density_words(rng, kBeepWords, 5);
-    AlignedWords out(kBeepWords);
+    const Bitstring heard = Bitstring::random(rng, transcript_bits);
+    const std::vector<std::size_t> positions =
+        Bitstring::random_with_weight(rng, transcript_bits, weight).one_positions();
+    AlignedWords out((weight + 63) / 64);
     const auto& ops = simd::ops(kernel);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ops.gather_bits(heard.data(), mask.data(), kBeepWords, out.data()));
+        benchmark::DoNotOptimize(ops.gather_positions(heard.words().data(), transcript_bits,
+                                                      positions.data(), positions.size(),
+                                                      out.data()));
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
 }
 
@@ -318,8 +325,11 @@ int main(int argc, char** argv) {
                                      BM_SimdHammingAll, kernel);
         benchmark::RegisterBenchmark(("BM_SimdBitslicePass" + suffix).c_str(),
                                      BM_SimdBitslicePass, kernel);
-        benchmark::RegisterBenchmark(("BM_SimdGatherBits" + suffix).c_str(),
-                                     BM_SimdGatherBits, kernel);
+        const std::string gather = "BM_SimdGatherPositions" + suffix;
+        benchmark::RegisterBenchmark((gather + "/all_nodes_1k").c_str(),
+                                     BM_SimdGatherPositions, kernel, kBeepWords * 64, 176);
+        benchmark::RegisterBenchmark((gather + "/two_hop_2k").c_str(), BM_SimdGatherPositions,
+                                     kernel, 13056, 192);
     }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

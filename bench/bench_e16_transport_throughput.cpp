@@ -14,6 +14,9 @@
 // measured 27.6 rounds/s at n=256 and 2.28 at n=1024 on this workload;
 // PR 2's batched path reached 92 and 10.9.
 //
+// Each row's batched rate is the median of five timed batches, after one
+// untimed batch at the start of the process.
+//
 // The steady-state allocation column counts operator-new calls (see
 // alloc_hooks.h) during a warm simulate_rounds_into batch over a cached
 // codebook round at the default worker count — the zero-copy arena
@@ -53,26 +56,59 @@ struct Measurement {
     std::size_t arena_words = 0;      ///< result-ring high-water mark
 };
 
+/// One row's transport and traffic: a random regular graph under the
+/// all_nodes dictionary, every node sending a random message.
+struct Workload {
+    Workload(std::size_t n, std::size_t degree, simd::Kernel kernel)
+        : graph(bench::regular_graph(n, degree, 0xe16 + n)),
+          params(make_params(n, kernel)),
+          transport(graph, params),
+          messages(n) {
+        Rng message_rng(7);
+        for (NodeId v = 0; v < n; ++v) {
+            messages[v] = Bitstring::random(message_rng, params.message_bits);
+        }
+    }
+
+    static SimulationParams make_params(std::size_t n, simd::Kernel kernel) {
+        SimulationParams params;
+        params.epsilon = 0.1;
+        params.message_bits = ceil_log2(n);
+        params.c_eps = 4;
+        params.dictionary = DictionaryPolicy::all_nodes;
+        params.simd_kernel = kernel;
+        return params;
+    }
+
+    /// Nonces 1..rounds over the one message vector.
+    std::vector<RoundSpec> specs(std::size_t rounds) const {
+        std::vector<RoundSpec> out;
+        out.reserve(rounds);
+        for (std::uint64_t nonce = 1; nonce <= rounds; ++nonce) {
+            out.push_back(RoundSpec{&messages, nonce, nullptr});
+        }
+        return out;
+    }
+
+    Graph graph;
+    SimulationParams params;
+    BeepTransport transport;
+    std::vector<std::optional<Bitstring>> messages;
+};
+
+/// Timed batches per row; the row reports their median rate, so one batch
+/// slowed by a neighbour on the machine does not move the perf gate.
+constexpr std::size_t kTimedBatches = 5;
+
 Measurement measure(std::size_t n, std::size_t degree, std::size_t rounds,
                     simd::Kernel kernel) {
-    const Graph g = bench::regular_graph(n, degree, 0xe16 + n);
-    SimulationParams params;
-    params.epsilon = 0.1;
-    params.message_bits = ceil_log2(n);
-    params.c_eps = 4;
-    params.dictionary = DictionaryPolicy::all_nodes;
-    params.simd_kernel = kernel;
-    const BeepTransport transport(g, params);
-
-    Rng message_rng(7);
-    std::vector<std::optional<Bitstring>> messages(n);
-    for (NodeId v = 0; v < n; ++v) {
-        messages[v] = Bitstring::random(message_rng, params.message_bits);
-    }
+    const Workload w(n, degree, kernel);
+    const BeepTransport& transport = w.transport;
+    const auto& messages = w.messages;
 
     Measurement m;
     m.n = n;
-    m.delta = g.max_degree();
+    m.delta = w.graph.max_degree();
     m.kernel = kernel;
     m.resolved = simd::resolve_kernel(kernel);
 
@@ -84,15 +120,16 @@ Measurement measure(std::size_t n, std::size_t degree, std::size_t rounds,
     }
     m.single_rounds_per_s = static_cast<double>(rounds) / seconds_since(start);
 
-    std::vector<RoundSpec> specs;
-    specs.reserve(rounds);
-    for (std::uint64_t nonce = 1; nonce <= rounds; ++nonce) {
-        specs.push_back(RoundSpec{&messages, nonce, nullptr});
-    }
+    const std::vector<RoundSpec> specs = w.specs(rounds);
     TransportBatch batch;
-    start = std::chrono::steady_clock::now();
-    transport.simulate_rounds_into(specs, batch);
-    m.batched_rounds_per_s = static_cast<double>(batch.rounds()) / seconds_since(start);
+    std::vector<double> rates;
+    for (std::size_t b = 0; b < kTimedBatches; ++b) {
+        start = std::chrono::steady_clock::now();
+        transport.simulate_rounds_into(specs, batch);
+        rates.push_back(static_cast<double>(batch.rounds()) / seconds_since(start));
+    }
+    std::sort(rates.begin(), rates.end());
+    m.batched_rounds_per_s = rates[kTimedBatches / 2];
 
     // Steady-state allocation count: a warm batch over one cached codebook
     // round (same messages + nonce throughout) is pure decoding — the arena
@@ -120,6 +157,15 @@ int main() {
         if (simd::kernel_supported(k)) {
             kernels.push_back(k);
         }
+    }
+
+    // One untimed batch before the first row: in a fresh process the first
+    // row's timed batch read a third of its usual rate in two of six runs,
+    // and that row (scalar n=256) is the anchor the perf gate normalizes by.
+    {
+        const Workload warm(256, 8, kernels.front());
+        TransportBatch batch;
+        warm.transport.simulate_rounds_into(warm.specs(24), batch);
     }
 
     std::vector<Measurement> measurements;

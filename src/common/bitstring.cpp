@@ -262,32 +262,13 @@ Bitstring Bitstring::gather(const std::vector<std::size_t>& positions) const {
     return result;
 }
 
-void Bitstring::gather_into(std::span<const std::size_t> positions, Bitstring& out) const {
-    out.reset(positions.size());
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        const std::size_t p = positions[i];
-        require(p < size_, "Bitstring::gather: position out of range");
-        acc |= ((words_[p / bits_per_word] >> (p % bits_per_word)) & 1u)
-               << (i % bits_per_word);
-        if (i % bits_per_word == bits_per_word - 1) {
-            out.words_[i / bits_per_word] = acc;
-            acc = 0;
-        }
-    }
-    if (positions.size() % bits_per_word != 0) {
-        out.words_.back() = acc;
-    }
-}
-
-void Bitstring::gather_mask_into(const Bitstring& mask, Bitstring& out,
-                                 const simd::SimdOps& ops) const {
-    check_same_size(mask, "gather_mask_into");
-    out.reset(mask.count());
-    if (out.size_ == 0) {
-        return;
-    }
-    ops.gather_bits(words_.data(), mask.words_.data(), words_.size(), out.words_.data());
+void Bitstring::gather_into(std::span<const std::size_t> positions, Bitstring& out,
+                            const simd::SimdOps& ops) const {
+    out.size_ = positions.size();
+    out.words_.resize(word_count_for(out.size_));
+    require(ops.gather_positions(words_.data(), size_, positions.data(), positions.size(),
+                                 out.words_.data()),
+            "Bitstring::gather: position out of range");
 }
 
 Bitstring Bitstring::scatter(std::size_t size, const std::vector<std::size_t>& positions,

@@ -159,20 +159,13 @@ public:
     Bitstring gather(const std::vector<std::size_t>& positions) const;
 
     /// gather() into a caller-owned result (resized to positions.size()),
-    /// assembling output words in a register instead of per-bit writes; the
-    /// transports use this with per-worker scratch strings so the phase-2
-    /// hot loop performs no allocation.
-    void gather_into(std::span<const std::size_t> positions, Bitstring& out) const;
-
-    /// gather_into at mask.one_positions(), without the position vector:
-    /// out[i] = this[p_i] where p_i is the i-th 1-position of `mask`
-    /// (ascending), i.e. the Notation 7 subsequence y at the 1-positions of
-    /// a codeword, taken straight off the packed codeword words. Runs the
-    /// SIMD layer's word-wise PEXT walk from `ops` — bit-identical to the
-    /// position-list gather on every kernel (property-tested). Precondition:
-    /// sizes match.
-    void gather_mask_into(const Bitstring& mask, Bitstring& out,
-                          const simd::SimdOps& ops = simd::ops()) const;
+    /// reusing its word storage; the transports use this with per-worker
+    /// scratch strings so the phase-2 hot loop performs no allocation. Runs
+    /// the position gather kernel of `ops` (bit-identical on every table);
+    /// an out-of-range position throws before it is read, and `out` is
+    /// then unspecified.
+    void gather_into(std::span<const std::size_t> positions, Bitstring& out,
+                     const simd::SimdOps& ops = simd::ops()) const;
 
     /// Scatter `values` into a fresh string of this size at `positions`:
     /// result[positions[i]] = values[i], other bits 0. This implements the

@@ -6,7 +6,8 @@
 // AVX2 has no vector popcount instruction, so each 256-bit lane's bytes
 // are counted via two 16-entry table lookups and summed with SAD, giving
 // four u64 partial counts per vector that accumulate without overflow for
-// any realistic array length. The bitwise bitslice pass and the early-exit
+// any realistic array length. The position gather is a masked VPGATHERQQ
+// per four positions. The bitwise bitslice pass and the early-exit
 // variant reuse the generic bodies, which GCC/Clang auto-vectorize at
 // 256-bit width in this TU.
 #include "common/simd/kernels_inl.h"
@@ -111,6 +112,56 @@ void avx2_hamming_all(const std::uint64_t* received, std::size_t words,
     }
 }
 
+bool avx2_gather_positions(const std::uint64_t* src, std::size_t src_bits,
+                           const std::size_t* positions, std::size_t count,
+                           std::uint64_t* out) {
+    // Four positions per VPGATHERQQ: lane k loads src[p_k / 64], VPSRLVQ
+    // brings bit p_k % 64 down to bit 0, a shift to the sign bit and
+    // VMOVMSKPD pack the four bits. The bounds compare masks the gather,
+    // so an out-of-range lane is never loaded; AVX2 has only a signed
+    // 64-bit compare, hence the sign flip on both sides. The last 0-3
+    // positions take the scalar path.
+    const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(std::uint64_t{1} << 63));
+    const __m256i limit =
+        _mm256_xor_si256(_mm256_set1_epi64x(static_cast<long long>(src_bits)), sign);
+    const __m256i low6 = _mm256_set1_epi64x(63);
+    const auto* words = reinterpret_cast<const long long*>(src);
+    __m256i in_range = _mm256_set1_epi64x(-1);
+    const auto gather4 = [&](std::size_t i) {
+        const __m256i p = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(positions + i));
+        const __m256i ok = _mm256_cmpgt_epi64(limit, _mm256_xor_si256(p, sign));
+        in_range = _mm256_and_si256(in_range, ok);
+        const __m256i w = _mm256_mask_i64gather_epi64(_mm256_setzero_si256(), words,
+                                                      _mm256_srli_epi64(p, 6), ok, 8);
+        const __m256i top =
+            _mm256_slli_epi64(_mm256_srlv_epi64(w, _mm256_and_si256(p, low6)), 63);
+        return static_cast<std::uint64_t>(_mm256_movemask_pd(_mm256_castsi256_pd(top)));
+    };
+    std::size_t i = 0;
+    for (; i + 64 <= count; i += 64) {
+        std::uint64_t word = 0;
+        for (std::size_t k = 0; k < 64; k += 4) {
+            word |= gather4(i + k) << k;
+        }
+        out[i / 64] = word;
+    }
+    if (i < count) {
+        std::uint64_t word = 0;
+        std::size_t k = 0;
+        for (; i + k + 4 <= count; k += 4) {
+            word |= gather4(i + k) << k;
+        }
+        for (; i + k < count; ++k) {
+            if (positions[i + k] >= src_bits) {
+                return false;
+            }
+            word |= bit_at(src, positions[i + k]) << k;
+        }
+        out[i / 64] = word;
+    }
+    return _mm256_movemask_pd(_mm256_castsi256_pd(in_range)) == 0xf;
+}
+
 }  // namespace
 
 namespace detail {
@@ -119,7 +170,7 @@ SimdOps make_avx2_ops() {
     return SimdOps{
         "avx2",       avx2_and_not_count, avx2_and_not_count_below,
         avx2_hamming, avx2_hamming_all,   generic_bitslice_pass,
-        generic_gather_bits,  // -mbmi2 in this TU: compiles to the PEXT walk
+        avx2_gather_positions,
     };
 }
 

@@ -6,9 +6,9 @@
 // anonymous namespace on purpose: each TU gets its own internal-linkage
 // copy, so the linker can never merge (and thereby mis-dispatch) bodies
 // compiled for different ISAs, which an ODR-shared inline function would
-// invite. The popcount reductions are overridden with hand-written
-// intrinsics in the AVX2/AVX-512 TUs; the pure bitwise bitslice pass
-// auto-vectorizes well everywhere and is shared as-is.
+// invite. The popcount reductions and the position gather are overridden
+// with hand-written intrinsics in the AVX2/AVX-512 TUs; the pure bitwise
+// bitslice pass auto-vectorizes well everywhere and is shared as-is.
 //
 // Exactness: every kernel is an integer reduction or a bitwise pass whose
 // result is independent of association order, so all ISA variants are
@@ -20,10 +20,6 @@
 #include <cstdint>
 
 #include "common/simd/simd.h"
-
-#if defined(__BMI2__)
-#include <immintrin.h>
-#endif
 
 namespace nb::simd {
 namespace {
@@ -185,56 +181,46 @@ void generic_bitslice_flush(std::uint64_t* __restrict low0, std::uint64_t* __res
     }
 }
 
-/// Pack the bits of `src` found at the 1-positions of `mask` (ascending)
-/// into `out` — a whole-word PEXT walk over the Notation 7 subsequence
-/// gather, replacing the per-position bit loop of Bitstring::gather_into.
-/// Word w contributes PEXT(src[w], mask[w]) (extracted here bit by bit when
-/// the TU lacks BMI2 — identical result), appended through a 64-bit fill
-/// buffer, so the output equals gathering src at mask.one_positions() in
-/// order. Returns popcount(mask); out must hold ceil(that / 64) words, and
-/// every written word is fully assembled (padding bits land as zeros).
-[[maybe_unused]] std::size_t generic_gather_bits(const std::uint64_t* src,
-                                                 const std::uint64_t* mask,
-                                                 std::size_t words, std::uint64_t* out) {
-    std::uint64_t acc = 0;
-    std::size_t fill = 0;
-    std::size_t total = 0;
-    std::size_t ow = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t m = mask[w];
-        if (m == 0) {
-            continue;
+/// Bit `p` of `src`, as 0 or 1.
+inline std::uint64_t bit_at(const std::uint64_t* src, std::size_t p) {
+    return (src[p / 64] >> (p % 64)) & std::uint64_t{1};
+}
+
+/// The position gather as a plain loop: each output word is assembled in
+/// four independent accumulators (positions j, j+1, j+2, j+3 of the word),
+/// so the loads and shifts of neighbouring positions overlap instead of
+/// queueing behind one OR chain. Positions are bounds-checked four at a
+/// time, before any of the four is read.
+[[maybe_unused]] bool generic_gather_positions(const std::uint64_t* src, std::size_t src_bits,
+                                               const std::size_t* positions,
+                                               std::size_t count, std::uint64_t* out) {
+    for (std::size_t base = 0; base < count; base += 64) {
+        const std::size_t len = count - base < 64 ? count - base : 64;
+        const std::size_t* p = positions + base;
+        std::uint64_t acc0 = 0;
+        std::uint64_t acc1 = 0;
+        std::uint64_t acc2 = 0;
+        std::uint64_t acc3 = 0;
+        std::size_t j = 0;
+        for (; j + 4 <= len; j += 4) {
+            if ((p[j] >= src_bits) | (p[j + 1] >= src_bits) | (p[j + 2] >= src_bits) |
+                (p[j + 3] >= src_bits)) {
+                return false;
+            }
+            acc0 |= bit_at(src, p[j]) << j;
+            acc1 |= bit_at(src, p[j + 1]) << (j + 1);
+            acc2 |= bit_at(src, p[j + 2]) << (j + 2);
+            acc3 |= bit_at(src, p[j + 3]) << (j + 3);
         }
-#if defined(__BMI2__)
-        const std::uint64_t ext = _pext_u64(src[w], m);
-        const std::size_t cnt = static_cast<std::size_t>(std::popcount(m));
-#else
-        const std::uint64_t s = src[w];
-        std::uint64_t ext = 0;
-        std::size_t cnt = 0;
-        while (m != 0) {
-            const int b = std::countr_zero(m);
-            m &= m - 1;
-            ext |= ((s >> b) & std::uint64_t{1}) << cnt;
-            ++cnt;
+        for (; j < len; ++j) {
+            if (p[j] >= src_bits) {
+                return false;
+            }
+            acc0 |= bit_at(src, p[j]) << j;
         }
-#endif
-        acc |= ext << fill;
-        const std::size_t next = fill + cnt;
-        if (next >= 64) {
-            out[ow++] = acc;
-            // The bits of ext that did not fit (cnt + fill - 64 of them)
-            // start the next output word; when fill == 0 the word consumed
-            // ext exactly and the remainder is empty (ext >> 64 would be UB).
-            acc = fill == 0 ? 0 : ext >> (64 - fill);
-        }
-        fill = next & 63;
-        total += cnt;
+        out[base / 64] = acc0 | acc1 | acc2 | acc3;
     }
-    if (fill != 0) {
-        out[ow] = acc;
-    }
-    return total;
+    return true;
 }
 
 }  // namespace

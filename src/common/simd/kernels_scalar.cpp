@@ -10,7 +10,7 @@ SimdOps make_scalar_ops() {
     return SimdOps{
         "scalar",           generic_and_not_count, generic_and_not_count_below,
         generic_hamming,    generic_hamming_all,   generic_bitslice_pass,
-        generic_gather_bits,
+        generic_gather_positions,
     };
 }
 

@@ -27,10 +27,7 @@ namespace {
 
 bool cpu_has_avx2() noexcept {
 #if defined(NB_SIMD_HAVE_AVX2) && (defined(__x86_64__) || defined(_M_X64))
-    // The AVX2/AVX-512 TUs are also compiled with -mbmi2 for the PEXT
-    // gather kernel, so BMI2 joins the gate. Every AVX2 CPU (Haswell/Zen
-    // onward) has it; checking keeps dispatch sound regardless.
-    return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("bmi2") != 0;
+    return __builtin_cpu_supports("avx2") != 0;
 #else
     return false;
 #endif
@@ -42,8 +39,7 @@ bool cpu_has_avx512() noexcept {
            __builtin_cpu_supports("avx512bw") != 0 &&
            __builtin_cpu_supports("avx512vl") != 0 &&
            __builtin_cpu_supports("avx512dq") != 0 &&
-           __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
-           __builtin_cpu_supports("bmi2") != 0;
+           __builtin_cpu_supports("avx512vpopcntdq") != 0;
 #else
     return false;
 #endif

@@ -75,14 +75,15 @@ struct SimdOps {
                           std::uint64_t* low, std::uint64_t* planes,
                           std::size_t plane_count, std::uint64_t* out);
 
-    /// Pack the bits of `src` at the 1-positions of `mask`, ascending, into
-    /// `out` (the Notation 7 subsequence gather as a word kernel: word w
-    /// appends PEXT(src[w], mask[w]) through a fill buffer). Returns
-    /// popcount(mask); `out` must hold ceil(popcount / 64) words and gets
-    /// zero padding bits. The x86 tables use the BMI2 PEXT instruction
-    /// (checked at dispatch time alongside the vector features).
-    std::size_t (*gather_bits)(const std::uint64_t* src, const std::uint64_t* mask,
-                               std::size_t words, std::uint64_t* out);
+    /// Pack the bits of `src` at `positions[0 .. count)`, in order, into
+    /// `out`: out bit i = src bit positions[i] (the Notation 7 subsequence
+    /// gather at a codeword's 1-positions; positions may be unsorted or
+    /// repeat). `src_bits` bounds them: a position >= src_bits is never
+    /// read, and the call returns false with `out` unspecified. `out` must
+    /// hold ceil(count / 64) words and gets zero padding bits.
+    bool (*gather_positions)(const std::uint64_t* src, std::size_t src_bits,
+                             const std::size_t* positions, std::size_t count,
+                             std::uint64_t* out);
 };
 
 /// True iff `kernel`'s code was compiled in AND the CPU supports it

@@ -126,19 +126,10 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     // DistanceCode::nearest_entry).
     c.phase2_engine->hear_into(v, *c.phase2_schedules, ws.heard2);
 
-    auto decode_entry_at = [&](const Bitstring& codeword,
-                               const std::vector<std::size_t>& positions,
+    auto decode_entry_at = [&](const std::vector<std::size_t>& positions,
                                std::uint32_t hint_entry) {
-        // The subsequence at the codeword's 1-positions: the vector
-        // kernels gather it with the word-wise PEXT walk straight off
-        // the packed codeword; the scalar kernel keeps the position-list
-        // gather (faster than emulated PEXT). Identical bits either way
-        // — positions ARE the codeword's 1-positions (property-tested).
-        if (c.position_gather) {
-            ws.heard2.gather_into(positions, ws.gathered);
-        } else {
-            ws.heard2.gather_mask_into(codeword, ws.gathered, *c.ops);
-        }
+        // The subsequence at the codeword's 1-positions.
+        ws.heard2.gather_into(positions, ws.gathered, *c.ops);
         // Full-dictionary sweeps (all_nodes above the bitslice
         // crossover) run the vectorized SoA scan; the sparse two-hop
         // entry lists keep the per-entry fold. Same hint shortcut, same
@@ -173,7 +164,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     };
 
     for (const auto u : ws.accepted_nodes) {
-        const std::uint32_t entry = decode_entry_at(rd.codewords[u], rd.one_positions[u], u);
+        const std::uint32_t entry = decode_entry_at(rd.one_positions[u], u);
         const Bitstring& decoded = rd.candidate_messages[entry];
         if (c.graph->has_edge(u, v) && (*c.states)[u] == NodeState::correct &&
             decoded != rd.payloads[u]) {
@@ -185,8 +176,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     }
     for (const auto i : ws.accepted_decoys) {
         const auto hint = static_cast<std::uint32_t>(c.n + 1 + i);
-        const std::uint32_t entry =
-            decode_entry_at(rd.decoy_codewords[i], rd.decoy_one_positions[i], hint);
+        const std::uint32_t entry = decode_entry_at(rd.decoy_one_positions[i], hint);
         if (rd.candidate_messages[entry].test(0)) {
             deliver_tail(entry);
         }

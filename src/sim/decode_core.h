@@ -96,9 +96,6 @@ struct DecodeContext {
     /// The dispatch table params.simd_kernel resolves to, looked up once per
     /// round; every kernel call of the decode runs on it.
     const simd::SimdOps* ops = nullptr;
-    /// Gather phase-2 subsequences by position list instead of PEXT: the
-    /// scalar table's emulated PEXT is slower than the list walk.
-    bool position_gather = false;
 };
 
 /// Decode node `v` on `worker`'s scratch: phase-1 acceptance, phase-2

@@ -160,7 +160,6 @@ void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundS
     // as on this build/CPU (auto_best defers to NB_SIMD_KERNEL, then
     // detection).
     ctx.ops = &simd::ops(params_.simd_kernel);
-    ctx.position_gather = ctx.ops == &simd::ops(simd::Kernel::scalar);
 
     pool_->parallel_for(n, [&ctx](std::size_t worker, std::size_t node) {
         transport_detail::decode_node(ctx, worker, static_cast<NodeId>(node));

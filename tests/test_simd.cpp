@@ -18,6 +18,7 @@
 #include "common/aligned.h"
 #include "common/bitslice.h"
 #include "common/bitstring.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/simd/simd.h"
 #include "common/word_soa.h"
@@ -233,78 +234,89 @@ TEST(SimdKernels, BitslicePassMatchesScalarAndPackedKernel) {
     }
 }
 
-TEST(SimdKernels, GatherBitsMatchesPositionGatherOnEveryKernel) {
-    // The word-wise PEXT gather against the position-list gather it
-    // replaces on the decode path: for every kernel, every mask shape a
-    // fill-buffer bug could miss — empty, single-bit, sparse, ~half-dense
-    // (output words straddle input words), and all-ones (identity) — over
-    // sizes off the 64-bit word boundary.
+/// The position gather written out bit by bit: out bit i = src bit
+/// positions[i], padding bits zero.
+std::vector<std::uint64_t> reference_gather(const std::vector<std::uint64_t>& src,
+                                            const std::vector<std::size_t>& positions) {
+    std::vector<std::uint64_t> out((positions.size() + 63) / 64, 0);
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+        const std::uint64_t bit = (src[positions[i] / 64] >> (positions[i] % 64)) & 1u;
+        out[i / 64] |= bit << (i % 64);
+    }
+    return out;
+}
+
+TEST(SimdKernels, GatherPositionsMatchesReferenceOnEveryKernel) {
+    // Every table against the plain loop, at counts around each kernel's
+    // lane (4, 8) and output-word (64) boundaries and at the regular-2k
+    // codeword weight (192), over five position shapes: ascending sparse
+    // (a codeword's 1-positions), word-boundary bits (0, 63, 64, ... and
+    // the last bit), unsorted, repeated, and every position the same bit.
     Rng rng(7177);
-    for (const std::size_t bits :
-         {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
-          std::size_t{127}, std::size_t{130}, std::size_t{300}, std::size_t{1056}}) {
+    const std::size_t bits = 13056;  // a regular-2k phase-2 transcript
+    const auto src = random_words(rng, bits / 64);
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+          std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{191},
+          std::size_t{192}, std::size_t{193}}) {
         for (int shape = 0; shape < 5; ++shape) {
-            Bitstring mask(bits);
-            switch (shape) {
-                case 0:
-                    break;  // empty: gather of nothing
-                case 1:
-                    mask.set(bits - 1);
-                    break;
-                case 2:  // sparse ~10%, the codeword regime
-                    for (std::size_t i = 0; i < bits; ++i) {
-                        mask.set(i, rng.bernoulli(0.1));
-                    }
-                    break;
-                case 3:
-                    mask = Bitstring::random(rng, bits);  // ~half dense
-                    break;
-                case 4:
-                    mask = ~Bitstring(bits);  // all ones: gather == copy
-                    break;
+            std::vector<std::size_t> positions(count);
+            for (std::size_t i = 0; i < count; ++i) {
+                switch (shape) {
+                    case 0:  // ascending, ~one per word
+                        positions[i] = i * (bits / 200) + rng.next_below(bits / 200);
+                        break;
+                    case 1:  // word boundaries, ending on the last bit
+                        positions[i] = i + 1 == count ? bits - 1 : (i / 2) * 64 + (i % 2) * 63;
+                        break;
+                    case 2:  // unsorted
+                        positions[i] = rng.next_below(bits);
+                        break;
+                    case 3:  // repeated runs
+                        positions[i] = (i / 3) * 97 % bits;
+                        break;
+                    case 4:  // one bit, every time
+                        positions[i] = bits - 1;
+                        break;
+                }
             }
-            const Bitstring src = Bitstring::random(rng, bits);
-            Bitstring want;
-            src.gather_into(mask.one_positions(), want);
+            const auto want = reference_gather(src, positions);
             for (const auto kernel : supported_kernels()) {
-                Bitstring got;
-                src.gather_mask_into(mask, got, simd::ops(kernel));
-                EXPECT_EQ(got, want) << simd::ops(kernel).name << " bits=" << bits
+                // Poisoned output words: every word must be written, and
+                // the padding bits above the last position must be zero.
+                std::vector<std::uint64_t> got(want.size() + 1, ~std::uint64_t{0});
+                EXPECT_TRUE(simd::ops(kernel).gather_positions(
+                    src.data(), bits, positions.data(), count, got.data()));
+                got.pop_back();
+                EXPECT_EQ(got, want) << simd::ops(kernel).name << " count=" << count
                                      << " shape=" << shape;
             }
         }
     }
+}
 
-    // The raw kernel on plain word arrays: the return value is popcount of
-    // the mask (callers size the output from it), every written word matches
-    // the scalar table (which compiles the software bit walk, while the
-    // AVX TUs compile the PEXT path), and padding bits land as zeros.
-    const auto& scalar = simd::ops(simd::Kernel::scalar);
-    for (const std::size_t words : {std::size_t{1}, std::size_t{3}, std::size_t{24}}) {
-        for (int trial = 0; trial < 6; ++trial) {
-            const auto src = random_words(rng, words);
-            auto mask = random_words(rng, words);
-            if (trial >= 3) {
-                for (auto& m : mask) {
-                    m &= rng.next_u64() & rng.next_u64();  // sparse
+TEST(SimdKernels, GatherPositionsRejectsOutOfRangeOnEveryKernel) {
+    // A position at or past src_bits fails the call wherever it sits in
+    // the list (vector body, lane tail, past the first output word), and
+    // Bitstring::gather_into turns that into a precondition_error.
+    Rng rng(7178);
+    const Bitstring src = Bitstring::random(rng, 1000);
+    for (const std::size_t count : {std::size_t{1}, std::size_t{9}, std::size_t{70}}) {
+        for (std::size_t bad = 0; bad < count; bad += count / 3 + 1) {
+            for (const std::size_t value : {std::size_t{1000}, std::size_t{1} << 62,
+                                            ~std::size_t{0}}) {
+                std::vector<std::size_t> positions(count, 999);
+                positions[bad] = value;
+                for (const auto kernel : supported_kernels()) {
+                    std::vector<std::uint64_t> out((count + 63) / 64);
+                    EXPECT_FALSE(simd::ops(kernel).gather_positions(
+                        src.words().data(), src.size(), positions.data(), count, out.data()))
+                        << simd::ops(kernel).name << " count=" << count << " bad=" << bad;
+                    Bitstring gathered;
+                    EXPECT_THROW(src.gather_into(positions, gathered, simd::ops(kernel)),
+                                 precondition_error)
+                        << simd::ops(kernel).name;
                 }
-            }
-            std::size_t ones = 0;
-            for (const auto m : mask) {
-                ones += static_cast<std::size_t>(std::popcount(m));
-            }
-            std::vector<std::uint64_t> ref((ones + 63) / 64 + 1, ~std::uint64_t{0});
-            EXPECT_EQ(scalar.gather_bits(src.data(), mask.data(), words, ref.data()), ones);
-            for (const auto kernel : supported_kernels()) {
-                std::vector<std::uint64_t> out(ref.size(), ~std::uint64_t{0});
-                EXPECT_EQ(simd::ops(kernel).gather_bits(src.data(), mask.data(), words,
-                                                        out.data()),
-                          ones);
-                EXPECT_EQ(out, ref) << simd::ops(kernel).name << " words=" << words;
-            }
-            if (ones % 64 != 0 && ones != 0) {
-                // Assembled words carry zero padding above the packed bits.
-                EXPECT_EQ(ref[ones / 64] >> (ones % 64), 0u);
             }
         }
     }
