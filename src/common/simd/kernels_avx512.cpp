@@ -85,16 +85,6 @@ void avx512_hamming_all(const std::uint64_t* received, std::size_t words,
     }
 }
 
-/// Gather bit p_k of `src` for the eight positions `p` into mask bit k,
-/// loading only the lanes of `ok`; the other lanes read as 0.
-inline __mmask8 gather8(const std::uint64_t* src, __m512i p, __mmask8 ok) {
-    const __m512i w = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), ok,
-                                                  _mm512_srli_epi64(p, 6), src, 8);
-    return _mm512_test_epi64_mask(
-        _mm512_srlv_epi64(w, _mm512_and_si512(p, _mm512_set1_epi64(63))),
-        _mm512_set1_epi64(1));
-}
-
 bool avx512_gather_positions(const std::uint64_t* src, std::size_t src_bits,
                              const std::size_t* positions, std::size_t count,
                              std::uint64_t* out) {
@@ -105,33 +95,33 @@ bool avx512_gather_positions(const std::uint64_t* src, std::size_t src_bits,
     // gathers; the tail's dead lanes are masked off the position load and
     // the gather and come out as zero padding bits.
     const __m512i limit = _mm512_set1_epi64(static_cast<long long>(src_bits));
+    const __m512i low6 = _mm512_set1_epi64(63);
+    const __m512i one = _mm512_set1_epi64(1);
     __mmask8 in_range = 0xff;
+    // The bits at positions[j .. j + 8) in the lanes of `live`, packed.
+    const auto gather8 = [&](std::size_t j, __mmask8 live) {
+        const __m512i p = _mm512_maskz_loadu_epi64(live, positions + j);
+        const __mmask8 ok = _mm512_mask_cmplt_epu64_mask(live, p, limit);
+        in_range &= ok | static_cast<__mmask8>(~live);
+        const __m512i w = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), ok,
+                                                      _mm512_srli_epi64(p, 6), src, 8);
+        return static_cast<std::uint64_t>(
+            _mm512_test_epi64_mask(_mm512_srlv_epi64(w, _mm512_and_si512(p, low6)), one));
+    };
     std::size_t i = 0;
     for (; i + 64 <= count; i += 64) {
         std::uint64_t word = 0;
         for (std::size_t k = 0; k < 64; k += 8) {
-            const __m512i p = _mm512_loadu_si512(positions + i + k);
-            const __mmask8 ok = _mm512_cmplt_epu64_mask(p, limit);
-            in_range &= ok;
-            word |= static_cast<std::uint64_t>(gather8(src, p, ok)) << k;
+            word |= gather8(i + k, 0xff) << k;
         }
         out[i / 64] = word;
     }
     if (i < count) {
         std::uint64_t word = 0;
-        std::size_t k = 0;
-        for (; i + k + 8 <= count; k += 8) {
-            const __m512i p = _mm512_loadu_si512(positions + i + k);
-            const __mmask8 ok = _mm512_cmplt_epu64_mask(p, limit);
-            in_range &= ok;
-            word |= static_cast<std::uint64_t>(gather8(src, p, ok)) << k;
-        }
-        if (i + k < count) {
-            const auto live = static_cast<__mmask8>((1u << (count - i - k)) - 1);
-            const __m512i p = _mm512_maskz_loadu_epi64(live, positions + i + k);
-            const __mmask8 ok = _mm512_mask_cmplt_epu64_mask(live, p, limit);
-            in_range &= ok | static_cast<__mmask8>(~live);
-            word |= static_cast<std::uint64_t>(gather8(src, p, ok)) << k;
+        for (std::size_t k = 0; i + k < count; k += 8) {
+            const std::size_t left = count - i - k;
+            word |= gather8(i + k, left >= 8 ? 0xff : static_cast<__mmask8>((1u << left) - 1))
+                    << k;
         }
         out[i / 64] = word;
     }

@@ -25,7 +25,8 @@ SimdOps make_avx512_ops();
 
 namespace {
 
-bool cpu_has_avx2() noexcept {
+// Unused when -DNB_SIMD=OFF compiles every vector table out.
+[[maybe_unused]] bool cpu_has_avx2() noexcept {
 #if defined(NB_SIMD_HAVE_AVX2) && (defined(__x86_64__) || defined(_M_X64))
     return __builtin_cpu_supports("avx2") != 0;
 #else
@@ -33,7 +34,7 @@ bool cpu_has_avx2() noexcept {
 #endif
 }
 
-bool cpu_has_avx512() noexcept {
+[[maybe_unused]] bool cpu_has_avx512() noexcept {
 #if defined(NB_SIMD_HAVE_AVX512) && (defined(__x86_64__) || defined(_M_X64))
     return __builtin_cpu_supports("avx512f") != 0 &&
            __builtin_cpu_supports("avx512bw") != 0 &&

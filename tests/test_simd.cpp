@@ -282,11 +282,13 @@ TEST(SimdKernels, GatherPositionsMatchesReferenceOnEveryKernel) {
             }
             const auto want = reference_gather(src, positions);
             for (const auto kernel : supported_kernels()) {
-                // Poisoned output words: every word must be written, and
-                // the padding bits above the last position must be zero.
+                // Poisoned output words: every word must be written, the
+                // padding bits above the last position must be zero, and
+                // the word past the output must be left alone.
                 std::vector<std::uint64_t> got(want.size() + 1, ~std::uint64_t{0});
                 EXPECT_TRUE(simd::ops(kernel).gather_positions(
                     src.data(), bits, positions.data(), count, got.data()));
+                EXPECT_EQ(got.back(), ~std::uint64_t{0}) << simd::ops(kernel).name;
                 got.pop_back();
                 EXPECT_EQ(got, want) << simd::ops(kernel).name << " count=" << count
                                      << " shape=" << shape;
